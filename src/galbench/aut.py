@@ -185,19 +185,28 @@ def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
 def relative_restriction(M: Structure, C: Iterable[int],
                          A: Iterable[int]) -> Restriction:
     """Restriction of Aut(M/A) to an invariant C: image, kernel, and the
-    position-to-element map."""
+    position-to-element map.
+
+    Memoized per (C, A) in `M._caches`; a set that is not invariant is
+    rejected afresh on every call.
+    """
     A = M.check_subset(A, "base set")
     C = M.check_subset(C, "top set")
     if not A <= C:
         raise StructureError("base set must be contained in the top set")
-    G = automorphism_group_fixing(M, A)
-    try:
-        return restrict_to_invariant_set(G, C)
-    except NotInvariantError:
-        raise NotInvariantError(
-            f"set {M.render_set(C)} is not a union of orbits over the base; its "
-            "self-maps would be proper partial elementary maps, which this "
-            "operation does not materialize") from None
+    cache = M._caches.setdefault("restriction", {})
+    got = cache.get((C, A))
+    if got is None:
+        G = automorphism_group_fixing(M, A)
+        try:
+            got = restrict_to_invariant_set(G, C)
+        except NotInvariantError:
+            raise NotInvariantError(
+                f"set {M.render_set(C)} is not a union of orbits over the base; its "
+                "self-maps would be proper partial elementary maps, which this "
+                "operation does not materialize") from None
+        cache[(C, A)] = got
+    return got
 
 
 def relative_aut(M: Structure, C: Iterable[int], A: Iterable[int]) -> PermGroup:

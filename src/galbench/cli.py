@@ -301,9 +301,30 @@ def _cmd_verify(args, out) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
+class _HelpRequested(Exception):
+    """Carries the help text of `--help` back to `run_command`."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse prints help to sys.stdout and exits; the text goes to the
+        # caller's stream instead and `run_command` returns normally.
+        raise _HelpRequested(self.format_help())
+
+
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> _ArgumentParser:
@@ -315,7 +336,8 @@ def _build_parser() -> _ArgumentParser:
         if structure:
             p.add_argument("structure", help="corpus:<name> or a structure file path")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-len", dest="max_len", type=int, default=DEFAULT_MAX_LEN)
+        p.add_argument("--max-len", dest="max_len", type=_int_at_least(0),
+                       default=DEFAULT_MAX_LEN)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("corpus", help="embedded corpus operations")
@@ -395,7 +417,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("codes-report", help="do all small element sets have codes?")
     common(p)
-    p.add_argument("--max-set-size", dest="max_set_size", type=int, default=2)
+    p.add_argument("--max-set-size", dest="max_set_size", type=_int_at_least(1),
+                   default=2)
     p.set_defaults(fn=_cmd_codes_report)
 
     p = sub.add_parser("msym-code",
@@ -417,7 +440,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full law suite on a structure")
     common(p)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_int_at_least(0), default=200)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -430,6 +453,9 @@ def run_command(argv: list[str], out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args, out)
+    except _HelpRequested as exc:
+        print(exc.args[0], file=out, end="")
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

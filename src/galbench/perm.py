@@ -3,7 +3,7 @@
 Groups carry a stabilizer chain (base points, per-level strong generators,
 and transversals) built by a deterministic Schreier-Sims pass, giving exact
 orders and a sound, complete membership test.  Base points are chosen
-ascending, and every iteration order is fixed, so identical inputs always
+ascending after any forced prefix, and every iteration order is fixed, so identical inputs always
 produce identical chains, generator lists, and reports.
 
 Groups are immutable once closed; membership tests and queries are pure.
@@ -12,7 +12,7 @@ Groups are immutable once closed; membership tests and queries are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, GroupError, InternalCheckError
 
@@ -36,7 +36,7 @@ class Perm:
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(range(degree))
+        return _trusted(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -47,19 +47,19 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
-        if self.degree != other.degree:
+        img, other_img = self.images, other.images
+        if len(img) != len(other_img):
             raise GroupError(f"degree mismatch: {self.degree} vs {other.degree}")
-        img = self.images
-        return Perm(img[x] for x in other.images)
+        return _trusted(tuple(map(img.__getitem__, other_img)))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def apply_tuple(self, t: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.images[e] for e in t)
@@ -102,10 +102,39 @@ class Perm:
         return hash(self.images)
 
 
+def _trusted(images: tuple[int, ...]) -> Perm:
+    """A Perm built without the bijectivity check.
+
+    Only for image tuples that are bijections by construction: the identity,
+    and products and inverses of Perms.
+    """
+    p = object.__new__(Perm)
+    p.images = images
+    return p
+
+
+def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
+          start: int = 0) -> tuple[Perm, int]:
+    """Strip g down a stabilizer chain from level `start`.
+
+    Returns the residue and the level where stripping stopped (`len(base)`
+    when it ran through); g is in the group iff the residue is the identity.
+    """
+    i = start
+    while i < len(base):
+        u = trans[i].get(g.images[base[i]])
+        if u is None:
+            return g, i
+        g = u.inverse() * g
+        i += 1
+    return g, i
+
+
 class PermGroup:
     """A permutation group represented by a completed stabilizer chain.
 
-    Construct through `close_group`; the constructor trusts its arguments.
+    Construct through `close_group`, or as a sub-chain of one from some level
+    on (as `stabilizer_pointwise` does); the constructor trusts its arguments.
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order")
@@ -118,21 +147,10 @@ class PermGroup:
         self._trans = trans
         self.order = order
 
-    def _strip(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
-        i = start
-        while i < len(self.base):
-            p = g(self.base[i])
-            u = self._trans[i].get(p)
-            if u is None:
-                return g, i
-            g = u.inverse() * g
-            i += 1
-        return g, i
-
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._strip(g)
+        residue, _ = _sift(self.base, self._trans, g)
         return residue.is_identity()
 
     __contains__ = contains
@@ -244,17 +262,6 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
             frontier = nxt
         trans[i] = t
 
-    def strip(g: Perm, start: int) -> tuple[Perm, int]:
-        i = start
-        while i < len(base):
-            p = g(base[i])
-            u = trans[i].get(p)
-            if u is None:
-                return g, i
-            g = u.inverse() * g
-            i += 1
-        return g, i
-
     def complete_level(i: int):
         rebuild(i)
         points = sorted(trans[i])
@@ -262,11 +269,12 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
         for point in points:
             u = trans[i][point]
             for s in level_gens:
+                su = s * u
                 rep = trans[i][s(point)]
-                schreier = rep.inverse() * (s * u)
-                if schreier.is_identity():
+                if su == rep:
                     continue
-                residue, j = strip(schreier, i + 1)
+                schreier = rep.inverse() * su
+                residue, j = _sift(base, trans, schreier, i + 1)
                 if residue.is_identity():
                     continue
                 if j == len(base):
@@ -317,12 +325,12 @@ def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def orbit_of_point(G: PermGroup, point: int) -> frozenset[int]:
-    return frozenset(t[0] for t in orbit(G, (point,)))
-
-
 def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
-    """The subgroup of G fixing every entry of the tuple."""
+    """The subgroup of G fixing every entry of the tuple.
+
+    One closure with the entries as base prefix; the stabilizer is the chain
+    from the first level after the prefix on.
+    """
     points = []
     for e in t:
         if not 0 <= e < G.degree:
@@ -330,7 +338,17 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
         if e not in points:
             points.append(e)
     chain = close_group(G.generators, degree=G.degree, base_prefix=points)
-    return close_group(chain.level_generators(len(points)), degree=G.degree)
+    k = len(points)
+    gens: list[Perm] = []
+    for g in chain.level_generators(k):
+        if g not in gens:
+            gens.append(g)
+    trans = chain._trans[k:]
+    order = 1
+    for level in trans:
+        order *= len(level)
+    return PermGroup(G.degree, tuple(gens), chain.base[k:], chain._levels[k:],
+                     trans, order)
 
 
 def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
@@ -344,91 +362,140 @@ def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
         for e in t:
             if not 0 <= e < G.degree:
                 raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
-    kept = [g for g in G.elements(cap)
-            if {g.apply_tuple(t) for t in tuples} == tuples]
-    return close_group(_minimal_generators(kept), degree=G.degree)
+    table = _ElementTable(G.elements(cap))
+    kept = 0
+    for i, g in enumerate(table.elements):
+        if {g.apply_tuple(t) for t in tuples} == tuples:
+            kept |= 1 << i
+    return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree)
 
 
-def _minimal_generators(elements: list[Perm]) -> list[Perm]:
-    """A small deterministic generating list for a set of group elements."""
-    if not elements:
-        return []
-    degree = elements[0].degree
-    gens: list[Perm] = []
-    known = {Perm.identity(degree)}
-    for g in sorted(elements):
-        if g not in known:
-            gens.append(g)
-            known = _word_closure(gens, degree)
-    return gens
+# -- element tables and the subgroup lattice --------------------------------------
 
 
-def _word_closure(gens: list[Perm], degree: int) -> set[Perm]:
-    """All products of the generators (finite group, so inverses come free)."""
-    elems = {Perm.identity(degree)}
-    frontier = [Perm.identity(degree)]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = e * g
-                if f not in elems:
-                    elems.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return elems
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-# -- subgroup lattice -------------------------------------------------------------
+class _ElementTable:
+    """A group's elements in sorted order, so index i <-> element i.
+
+    Subsets of the group are integer bitmasks over the indices; index 0 is
+    the identity (the smallest image tuple), and ascending indices follow
+    the elements' sort order.  Right-multiplication columns are built on
+    first use, so only the generators actually multiplied by cost a column.
+    """
+
+    __slots__ = ("elements", "_index", "_columns")
+
+    def __init__(self, elements: list[Perm]):
+        self.elements = elements
+        self._index = {g.images: i for i, g in enumerate(elements)}
+        self._columns: dict[int, list[int]] = {}
+
+    def perms(self, indices: Iterable[int]) -> list[Perm]:
+        return [self.elements[i] for i in indices]
+
+    def column(self, j: int) -> list[int]:
+        """column(j)[i] is the index of elements[i] * elements[j]."""
+        col = self._columns.get(j)
+        if col is None:
+            g = self.elements[j].images
+            index = self._index
+            col = [index[tuple(map(e.images.__getitem__, g))] for e in self.elements]
+            self._columns[j] = col
+        return col
+
+    def generated(self, gens: Sequence[int]) -> int:
+        """The subgroup generated by the given elements: every product of
+        them (a finite group, so inverses come free)."""
+        cols = [self.column(j) for j in gens]
+        members = 1
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for col in cols:
+                    j = col[i]
+                    if not members >> j & 1:
+                        members |= 1 << j
+                        nxt.append(j)
+            frontier = nxt
+        return members
+
+    def minimal_generators(self, mask: int) -> list[int]:
+        """A small deterministic generating list for the subgroup `mask`:
+        each element, in ascending order, not generated by the ones before."""
+        gens: list[int] = []
+        known = 1
+        for i in _bits(mask):
+            if not known >> i & 1:
+                gens.append(i)
+                known = self.generated(gens)
+        return gens
+
+    def zuppos(self) -> list[tuple[int, int]]:
+        """One (mask, generator) pair per cyclic subgroup of prime-power
+        order, the generator being its smallest element that generates it."""
+        index = self._index
+        ident = self.elements[0]
+        out = []
+        seen = set()
+        for j, g in enumerate(self.elements):
+            if j == 0:
+                continue
+            mask = 1
+            x = g
+            while x != ident:
+                mask |= 1 << index[x.images]
+                x = x * g
+            if mask not in seen:
+                seen.add(mask)
+                if _is_prime_power(mask.bit_count()):
+                    out.append((mask, j))
+        return out
+
+
+def _is_prime_power(n: int) -> bool:
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if n % p:
+        p = n
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
-    """Every subgroup of G exactly once, built bottom-up by joining cyclic
-    subgroups, sorted by (order, element list).
+    """Every subgroup of G exactly once, sorted by (order, element list).
 
-    Complete because each subgroup is the join of the cyclic subgroups of its
-    own elements.
+    Cyclic extension (Neubüser): starting from the trivial group, join each
+    subgroup found with each cyclic subgroup of prime-power order it misses.
+    Complete because every subgroup is the join of the cyclic subgroups of
+    prime-power order it contains.  Subgroups are bitmasks over G's element
+    table; each is returned closed on its `minimal_generators`.
     """
     if G.order > cap:
         raise CapError(f"group order {G.order} exceeds subgroup enumeration cap {cap}")
-    ident = Perm.identity(G.degree)
-    elems = G.elements(cap=None)
-
-    # one (cyclic subgroup, generator) pair per distinct cyclic subgroup
-    cyclics: list[tuple[frozenset[Perm], Perm]] = []
-    seen_cyc = set()
-    for g in elems:
-        if g.is_identity():
-            continue
-        powers = {ident}
-        x = g
-        while not x.is_identity():
-            powers.add(x)
-            x = x * g
-        key = frozenset(powers)
-        if key not in seen_cyc:
-            seen_cyc.add(key)
-            cyclics.append((key, g))
-
-    gens_of: dict[frozenset[Perm], list[Perm]] = {}
-    trivial = frozenset({ident})
-    gens_of[trivial] = []
-    found = {trivial}
-    worklist = [trivial]
-    while worklist:
-        H = worklist.pop(0)
-        for C, c_gen in cyclics:
-            if C <= H:
+    table = _ElementTable(G.elements(cap=None))
+    zuppos = table.zuppos()
+    gens_of: dict[int, list[int]] = {1: []}
+    worklist = [1]
+    for H in worklist:
+        for C, c in zuppos:
+            if C & ~H == 0:
                 continue
-            seed = gens_of[H] + [c_gen]
-            join = frozenset(_word_closure(seed, G.degree))
-            if join not in found:
-                found.add(join)
-                gens_of[join] = _minimal_generators(sorted(join))
+            join = table.generated(gens_of[H] + [c])
+            if join not in gens_of:
+                gens_of[join] = table.minimal_generators(join)
                 worklist.append(join)
-
-    ordered = sorted(found, key=lambda s: (len(s), sorted(p.images for p in s)))
-    return [close_group(gens_of[s], degree=G.degree) for s in ordered]
+    ordered = sorted(gens_of, key=lambda m: (m.bit_count(), list(_bits(m))))
+    return [close_group(table.perms(gens_of[m]), degree=G.degree) for m in ordered]
 
 
 def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:
@@ -460,15 +527,6 @@ class Restriction:
     image: PermGroup
     kernel: PermGroup
     points: tuple[int, ...]
-
-    def position(self, element: int) -> int:
-        try:
-            return self.points.index(element)
-        except ValueError:
-            raise GroupError(f"element {element} is not in the restricted set") from None
-
-    def to_elements(self, positions: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.points[p] for p in positions)
 
 
 def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapError, DslError, StructureError
 
@@ -353,9 +353,3 @@ def dump_structure(M: Structure) -> str:
                      else f"  rel {rel}/{arity} = {{ }}")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def structures_iter(M: Structure) -> Iterator[tuple[str, frozenset[tuple[int, ...]]]]:
-    """Relation tables in signature order (deterministic)."""
-    for rel, _ in M.signature.relations:
-        yield rel, M.tables[rel]

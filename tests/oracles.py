@@ -4,6 +4,8 @@ Everything here deliberately avoids the package's own machinery: field tables
 come from schoolbook polynomial arithmetic, automorphism groups from filtering
 all bijections, group orders from naive closure, and formula evaluation from a
 witness-enumerating recursion.  The tests compare the package against these.
+The slow paths that faster package code replaced (the subgroup lattice as
+joins of Perm sets, the stabilizer closed twice) are kept here as references.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import permutations
 
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
-from galbench.perm import Perm
+from galbench.perm import Perm, close_group
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
 
@@ -119,6 +121,80 @@ def naive_closure(perms, degree) -> set[Perm]:
         if not new:
             return elems
         elems |= new
+
+
+def word_closure(gens, degree) -> set[Perm]:
+    """All products of the generators (finite group, so inverses come free)."""
+    elems = {Perm.identity(degree)}
+    frontier = [Perm.identity(degree)]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = e * g
+                if f not in elems:
+                    elems.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return elems
+
+
+def minimal_generators(elements) -> list[Perm]:
+    """Each element, in sorted order, not generated by the ones before."""
+    if not elements:
+        return []
+    degree = elements[0].degree
+    gens: list[Perm] = []
+    known = {Perm.identity(degree)}
+    for g in sorted(elements):
+        if g not in known:
+            gens.append(g)
+            known = word_closure(gens, degree)
+    return gens
+
+
+def cyclic_join_subgroups(G) -> list[tuple[list[Perm], list[Perm]]]:
+    """Every subgroup of G as (sorted element list, minimal generators), in
+    (order, element list) order: the join of every subgroup found with every
+    cyclic subgroup, over Perm sets, from the trivial group up."""
+    ident = Perm.identity(G.degree)
+    cyclics = []
+    seen_cyc = set()
+    for g in G.elements(cap=None):
+        if g.is_identity():
+            continue
+        powers = {ident}
+        x = g
+        while not x.is_identity():
+            powers.add(x)
+            x = x * g
+        key = frozenset(powers)
+        if key not in seen_cyc:
+            seen_cyc.add(key)
+            cyclics.append((key, g))
+
+    trivial = frozenset({ident})
+    gens_of = {trivial: []}
+    worklist = [trivial]
+    while worklist:
+        H = worklist.pop(0)
+        for C, c_gen in cyclics:
+            if C <= H:
+                continue
+            join = frozenset(word_closure(gens_of[H] + [c_gen], G.degree))
+            if join not in gens_of:
+                gens_of[join] = minimal_generators(sorted(join))
+                worklist.append(join)
+    ordered = sorted(gens_of, key=lambda s: (len(s), sorted(p.images for p in s)))
+    return [(sorted(s), gens_of[s]) for s in ordered]
+
+
+def two_close_stabilizer(G, points):
+    """Pointwise stabilizer by closing with the points as base prefix, then
+    closing the level generators again."""
+    points = list(dict.fromkeys(points))
+    chain = close_group(G.generators, degree=G.degree, base_prefix=points)
+    return close_group(chain.level_generators(len(points)), degree=G.degree)
 
 
 # -- formula evaluation oracle ------------------------------------------------------

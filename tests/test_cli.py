@@ -165,7 +165,22 @@ def test_byte_determinism():
     ["tower", "corpus:GF16", "--sets", "0,1;ALL"],
     ["degree", "corpus:EX_RS", "--base", "zz", "--top", "ALL"],
     ["galois", "corpus:EX_RS", "--base", "a,b", "--top", "a"],
+    ["verify", "corpus:C5", "--trials", "-5"],
+    ["generator", "corpus:EX_RS", "--top", "ALL", "--max-len", "-1"],
+    ["code", "corpus:EX_RS", "--tuples", "a", "--max-len", "-1"],
+    ["codes-report", "corpus:GF4", "--max-set-size", "0"],
+    ["verify", "corpus:C5", "--trials", "many"],
 ])
-def test_usage_errors_exit_2(argv):
+def test_usage_errors_exit_2(argv, capsys):
     code, _ = run(argv)
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["galois", "--help"],
+                                  ["verify", "corpus:C5", "-h"]])
+def test_help_goes_to_out_and_returns_0(argv, capsys):
+    code, text = run(argv)
+    assert code == 0
+    assert text.startswith("usage: galbench")
+    assert capsys.readouterr() == ("", "")
