@@ -13,6 +13,7 @@ ran and failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,12 @@ def _load_target(spec: str) -> Structure:
     if not path.is_file():
         raise _UsageError(f"no such structure: {spec!r} "
                           f"(use corpus:<name> or a file path)")
-    return load_structure(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"structure file {spec!r} is not valid UTF-8: {exc.reason} "
+                          f"at byte {exc.start}") from None
+    return load_structure(text)
 
 
 def _parse_set(M: Structure, text: str) -> frozenset[int]:
@@ -327,7 +333,10 @@ def _int_at_least(lowest: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state in
+    it, each call gets a fresh namespace."""
     parser = _ArgumentParser(prog="galbench", description=__doc__,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,9 +458,8 @@ def _build_parser() -> _ArgumentParser:
 def run_command(argv: list[str], out=None) -> int:
     """Dispatch one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args, out)
     except _HelpRequested as exc:
         print(exc.args[0], file=out, end="")

@@ -13,9 +13,13 @@ Grammar (own invention; any equally expressive syntax would do)::
     primary  :=  '(' formula ')' | REL '(' term {',' term} ')' | term '=' term
 
 Precedence ``~ > & > | > -> > <->``; a quantifier's body extends as far right
-as possible.  Terms are bare identifiers; whether an identifier is a variable
-or an element name is decided against the structure's name table at
-evaluation time, with quantifier bindings taking priority.
+as possible.  A formula nests at most `MAX_DEPTH` levels deep, counted both as
+open ``~``/quantifier/parenthesis levels while parsing and as the depth of
+the syntax tree, so parsing, printing and evaluation (all recursive) stay
+far inside Python's recursion limit.  Terms are bare identifiers; whether an
+identifier is a variable or an element name is decided against the
+structure's name table at evaluation time, with quantifier bindings taking
+priority.
 
 Formulas and assignments are immutable values and evaluation is pure, so
 concurrent evaluations are safe.
@@ -102,6 +106,9 @@ _QUANTS = (Forall, Exists, ExactCount)
 
 # -- parsing -------------------------------------------------------------------
 
+#: Deepest nesting a formula may have; deeper input is a `FormulaError`.
+MAX_DEPTH = 100
+
 _FTOKEN_RE = re.compile(r"\s*(<->|->|[A-Za-z0-9_]+|[()~&|=.!,])")
 
 
@@ -125,6 +132,7 @@ class _FParser:
         self.sig = sig
         self.pos = 0
         self.bound: list[str] = []
+        self.depth = 0
 
     def peek(self, offset: int = 0) -> str | None:
         i = self.pos + offset
@@ -147,21 +155,27 @@ class _FParser:
         f = self.formula()
         if self.pos < len(self.toks):
             raise FormulaError(f"trailing input {self.peek()!r}", self.where())
+        if _tree_depth(f) > MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+        return f
+
+    def _right_chain(self, op: str, operand, node) -> Formula:
+        # a right-associative chain, read in a loop so that long chains do
+        # not recurse
+        parts = [operand()]
+        while self.peek() == op:
+            self.take()
+            parts.append(operand())
+        f = parts.pop()
+        while parts:
+            f = node(parts.pop(), f)
         return f
 
     def formula(self) -> Formula:
-        left = self.implies()
-        if self.peek() == "<->":
-            self.take()
-            return Iff(left, self.formula())
-        return left
+        return self._right_chain("<->", self.implies, Iff)
 
     def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
+        return self._right_chain("->", self.disjunction, Implies)
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
@@ -186,6 +200,18 @@ class _FParser:
         return False
 
     def unary(self) -> Formula:
+        # every nested subformula (negation, quantifier body, parentheses)
+        # is parsed through here, so this counts the parser's recursion
+        if self.depth == MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels",
+                               self.where())
+        self.depth += 1
+        try:
+            return self._unary()
+        finally:
+            self.depth -= 1
+
+    def _unary(self) -> Formula:
         head = self.peek()
         if head == "~":
             self.take()
@@ -260,6 +286,21 @@ class _FParser:
         if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
             raise FormulaError(f"expected a term, found {tok!r}", at)
         return tok
+
+
+def _tree_depth(f: Formula) -> int:
+    """Nodes on the longest root-to-leaf path, found without recursion."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Not, *_QUANTS)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, tuple(_BINARY)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+    return deepest
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -9,7 +9,8 @@ Conventions used throughout (recorded once):
   orbits are finite, so the formula-based and orbit-based definitions of
   definable/algebraic closure coincide.
 * `dcl(M, A)` is therefore the fixed-point set of Aut(M/A), and `acl(M, A)`
-  collects the elements whose Aut(M/A)-orbit is finite (tested, not assumed).
+  collects the elements whose Aut(M/A)-orbit is finite, which in a finite
+  structure is every element (see `acl`).
 * Bounded searches (generators, codes) report "no answer within the bound"
   rather than absolute non-existence, except where a stabilizer argument
   makes the bounded answer exact (see `find_code`).
@@ -30,8 +31,8 @@ from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
                   relative_restriction)
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, StructureError)
-from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, PermGroup,
-                   all_subgroups, is_normal_subgroup, orbit,
+from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, PermGroup, _bits,
+                   _check_cap, all_subgroups, is_normal_subgroup, orbit,
                    restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
@@ -53,17 +54,13 @@ def dcl(M: Structure, A: Iterable[int]) -> frozenset[int]:
 def acl(M: Structure, A: Iterable[int]) -> frozenset[int]:
     """Algebraic closure: elements with a finite orbit under Aut(M/A).
 
-    Computed by the orbit-finiteness test element by element; in a finite
-    structure this is the whole universe, but it is not hard-coded.
+    Every orbit in a finite structure is finite: the orbit of x is a set of
+    elements of the universe, so it has at most `M.size` members.  Every
+    element is therefore algebraic over any A, and the closure is the whole
+    universe; only A is checked.
     """
-    A = M.check_subset(A, "parameter set")
-    G = automorphism_group_fixing(M, A)
-    out = set()
-    for x in range(M.size):
-        orb = orbit(G, (x,))
-        if len(orb) < float("inf"):
-            out.add(x)
-    return frozenset(out)
+    M.check_subset(A, "parameter set")
+    return frozenset(range(M.size))
 
 
 # -- orbits and degrees -------------------------------------------------------------
@@ -241,11 +238,15 @@ def fix_of_subgroup(M: Structure, C: Iterable[int], H: PermGroup) -> frozenset[i
             f"group of degree {H.degree} does not act on a set of {len(points)} elements")
     fixed = frozenset(points[i] for i in range(len(points))
                       if all(g(i) == i for g in H.generators))
+    _require_closed_in(M, C, fixed)
+    return fixed
+
+
+def _require_closed_in(M: Structure, C: frozenset[int], fixed: frozenset[int]) -> None:
     if dcl(M, fixed) & C != fixed:
         raise InternalCheckError(
             "fixed set of the subgroup is not definably closed within the top set; "
             "the subgroup cannot consist of restrictions of automorphisms")
-    return fixed
 
 
 def fix_of_set(M: Structure, C: Iterable[int], A: Iterable[int],
@@ -265,6 +266,13 @@ def fix_of_set(M: Structure, C: Iterable[int], A: Iterable[int],
 # -- codes for finite sets of tuples ----------------------------------------------
 
 
+def _mask(points: Iterable[int]) -> int:
+    out = 0
+    for e in points:
+        out |= 1 << e
+    return out
+
+
 def find_code(M: Structure, F: Iterable[Sequence[int]],
               max_len: int = DEFAULT_MAX_LEN,
               element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...] | None:
@@ -276,20 +284,30 @@ def find_code(M: Structure, F: Iterable[Sequence[int]],
     comparison is exact for every tuple up to the bound; in particular, when
     the setwise stabilizer fixes nothing, the empty tuple is the only
     candidate at any length and None is a certificate, not just a bound.
+
+    Runs on Aut(M)'s cached element table: the setwise stabilizer is a mask
+    over the table, the candidates are the AND of its members' fixed-point
+    masks, and a candidate's pointwise stabilizer has as many elements as
+    there are fixed-point masks containing the candidate's entries.  Since
+    the setwise stabilizer fixes every candidate, equal counts mean equal
+    stabilizers.
     """
     tuples = {M.check_tuple(t, "set member") for t in F}
     lengths = {len(t) for t in tuples}
     if len(lengths) > 1:
         raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
-    G = automorphism_group(M)
-    elems = G.elements(cap=element_cap)
-    setwise = [g for g in elems if {g.apply_tuple(t) for t in tuples} == tuples]
-    target = len(setwise)
-    candidates = [x for x in range(M.size) if all(g(x) == x for g in setwise)]
+    table = automorphism_group(M).element_table(element_cap)
+    setwise = table.setwise(tuples)
+    target = setwise.bit_count()
+    candidates = list(_bits(table.fixed(setwise)))
+    orders: dict[int, int] = {}
     for length in range(0, max_len + 1):
         for cand in product(candidates, repeat=length):
-            pointwise = sum(1 for g in elems if all(g(e) == e for e in cand))
-            if pointwise == target:
+            points = _mask(cand)
+            order = orders.get(points)
+            if order is None:
+                order = orders[points] = table.pointwise_order(points)
+            if order == target:
                 return cand
     return None
 
@@ -330,8 +348,7 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
     """
     if max_set_size < 1 or max_len < 0:
         raise StructureError("caps must be positive")
-    G = automorphism_group(M)
-    elems = G.elements()
+    elems = automorphism_group(M).element_table().elements
     reps: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for size in range(1, max_set_size + 1):
@@ -483,10 +500,8 @@ def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]],
     code = tuple(poly.get(mono, ops.zero)
                  for mono in multisymmetric_monomials(m, n))
 
-    elems = automorphism_group(M).elements(cap=max_elements)
-    setwise = {g for g in elems if {g.apply_tuple(t) for t in tuples} == set(tuples)}
-    pointwise = {g for g in elems if all(g(e) == e for e in code)}
-    if setwise != pointwise:
+    table = automorphism_group(M).element_table(max_elements)
+    if table.setwise(set(tuples)) != table.pointwise(_mask(code)):
         raise InternalCheckError(
             "coefficient tuple fails the stabilizer equality; this is a bug")
     return code
@@ -589,6 +604,19 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     Fix(Fix(H)) = H and Fix(Fix(B)) = B, and records each violation.  Also
     reports whether each subgroup's orbit of a generator of C over A admits a
     code, the ingredient that makes the duality work.
+
+    Both sides run on bitmasks over the relative group's cached element
+    table, whose elements carry their fixed-point sets as masks over the
+    positions of C.  A subgroup is its mask from `all_subgroups`; Fix(H) is
+    the AND of its members' fixed-point masks, and Fix(Fix(H)) is the mask of
+    elements whose fixed-point mask contains Fix(H).  dcl(A + S) for S inside
+    C is the intersection of the fixed sets containing S (a stabilizer of S
+    in Aut(M/A) restricts into Aut(C/A), and dcl(A + S) stays inside the
+    definably closed C), so the intermediate sets are the closure system
+    generated by the distinct fixed-point masks, from C down.  Each fixed
+    set is still checked to be definably closed, and a failing subgroup's
+    closure group is built by `fix_of_set` for its rendering, once per
+    distinct fixed set.
     """
     A0 = M.check_subset(A, "base set")
     C0 = M.check_subset(C, "top set")
@@ -601,21 +629,30 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         raise HypothesisError(
             "top set is not a normal extension of the base: some orbit leaves it")
 
-    G_A = automorphism_group_fixing(M, A)
     restr = relative_restriction(M, C, A)
     G = restr.image
     points = restr.points
     if G.order > subgroup_cap:
         raise CapError(f"relative group order {G.order} exceeds cap {subgroup_cap}")
     subs = all_subgroups(G, cap=subgroup_cap)
+    table = G.element_table(cap=None)
+    sub_masks = [mask for mask, _ in table.subgroups()]
+
+    def elements_of(positions: int) -> frozenset[int]:
+        return frozenset(points[i] for i in _bits(positions))
 
     pairs = []
     failures = []
-    for H in subs:
-        fixed = fix_of_subgroup(M, C, H)
-        closure = fix_of_set(M, C, A, fixed)
+    closures: dict[int, PermGroup] = {}  # failing subgroups' Fix(Fix(H)), by Fix(H)
+    for H, mask in zip(subs, sub_masks):
+        fixed_mask = table.fixed(mask)
+        fixed = elements_of(fixed_mask)
+        _require_closed_in(M, C, fixed)
         pairs.append((H.generator_strings(), M.render_set(fixed)))
-        if not closure.equals(H):
+        if table.pointwise(fixed_mask) != mask:
+            closure = closures.get(fixed_mask)
+            if closure is None:
+                closure = closures[fixed_mask] = fix_of_set(M, C, A, fixed)
             failures.append(DualityFailure(
                 kind="subgroup",
                 subject=_render_group(H),
@@ -624,41 +661,23 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
                 closure_order=closure.order,
             ))
 
-    # Intermediate definably closed sets: dcl(A + S) over every S inside C.
-    # Aut(M/(A+S)) is the pointwise stabilizer of S inside Aut(M/A), so the
-    # closure is an intersection of fixed-point sets of elements of Aut(M/A);
-    # iterating submasks of C avoids one group search per subset.
-    elemsA = G_A.elements(cap=element_cap)
-    fixmasks = []
-    for g in elemsA:
-        mask = 0
-        for x in range(M.size):
-            if g(x) == x:
-                mask |= 1 << x
-        fixmasks.append(mask)
-    cmask = 0
-    for e in C:
-        cmask |= 1 << e
-    seen_masks = set()
-    sub = cmask
-    while True:
-        closure_mask = (1 << M.size) - 1
-        for gmask in fixmasks:
-            if sub & ~gmask == 0:
-                closure_mask &= gmask
-        seen_masks.add(closure_mask)
-        if sub == 0:
-            break
-        sub = (sub - 1) & cmask
-    intermediates = [frozenset(x for x in range(M.size) if mask >> x & 1)
-                     for mask in seen_masks]
-    intermediates.sort(key=lambda s: (len(s), sorted(s)))
-    for B in intermediates:
-        if not B <= C:
+    # The intermediate sets: the closure system of the fixed-point masks.  The
+    # element cap still bounds the check by |Aut(M/A)|.
+    _check_cap(automorphism_group_fixing(M, A).order, element_cap)
+    family = {table.fixmasks[0]}
+    for f in set(table.fixmasks):
+        family |= {f & b for b in family}
+    intermediates = sorted(((elements_of(b), b) for b in family),
+                           key=lambda item: (len(item[0]), sorted(item[0])))
+    for B, b in intermediates:
+        closed = dcl(M, B)
+        if not closed <= C:
             raise InternalCheckError("an intermediate closure escapes the top set")
-        fixer = fix_of_set(M, C, A, B)
-        closure = fix_of_subgroup(M, C, fixer)
-        if closure != B:
+        if closed != B:
+            raise InternalCheckError("an intermediate set is not definably closed")
+        closure_mask = table.fixed(table.pointwise(b))
+        if closure_mask != b:
+            closure = elements_of(closure_mask)
             failures.append(DualityFailure(
                 kind="set",
                 subject=_render_set(M, B),
@@ -675,8 +694,9 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         coding_ok = None
     else:
         gen_positions = tuple(points.index(e) for e in gen)
-        for H in subs:
-            F = {tuple(points[h(p)] for p in gen_positions) for h in H.elements()}
+        for mask in sub_masks:
+            F = {tuple(points[table.elements[i].images[p]] for p in gen_positions)
+                 for i in _bits(mask)}
             if find_code(M, F, max_len) is None:
                 coding_failures.append(
                     "{" + ", ".join("(" + ", ".join(M.render_tuple(t)) + ")"
@@ -692,7 +712,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         group_generators=G.generator_strings(),
         subgroups=tuple(H.generator_strings() for H in subs),
         subgroup_orders=tuple(H.order for H in subs),
-        intermediates=tuple(M.render_set(B) for B in intermediates),
+        intermediates=tuple(M.render_set(B) for B, _ in intermediates),
         pairs=tuple(pairs),
         failures=tuple(failures),
         coding_ok=coding_ok,

@@ -113,6 +113,11 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     return p
 
 
+def _check_cap(order: int, cap: int | None) -> None:
+    if cap is not None and order > cap:
+        raise CapError(f"group of order {order} exceeds enumeration cap {cap}")
+
+
 def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
           start: int = 0) -> tuple[Perm, int]:
     """Strip g down a stabilizer chain from level `start`.
@@ -137,7 +142,8 @@ class PermGroup:
     on (as `stabilizer_pointwise` does); the constructor trusts its arguments.
     """
 
-    __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order")
+    __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
+                 "_table")
 
     def __init__(self, degree, generators, base, levels, trans, order):
         self.degree = degree
@@ -146,6 +152,7 @@ class PermGroup:
         self._levels = levels
         self._trans = trans
         self.order = order
+        self._table = None
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -161,8 +168,7 @@ class PermGroup:
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> list[Perm]:
         """Every group element, sorted by image tuple."""
-        if cap is not None and self.order > cap:
-            raise CapError(f"group of order {self.order} exceeds enumeration cap {cap}")
+        _check_cap(self.order, cap)
         elems = [Perm.identity(self.degree)]
         for i in reversed(range(len(self.base))):
             layer = []
@@ -172,6 +178,14 @@ class PermGroup:
             elems = layer
         elems.sort()
         return elems
+
+    def element_table(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> "ElementTable":
+        """The group's `ElementTable`, built from `elements` on first use and
+        kept; the cap is checked on every call, as `elements` checks it."""
+        _check_cap(self.order, cap)
+        if self._table is None:
+            self._table = ElementTable(self.elements(cap=None))
+        return self._table
 
     def equals(self, other: "PermGroup") -> bool:
         """Element-set equality, decided without enumeration."""
@@ -362,11 +376,8 @@ def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
         for e in t:
             if not 0 <= e < G.degree:
                 raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
-    table = _ElementTable(G.elements(cap))
-    kept = 0
-    for i, g in enumerate(table.elements):
-        if {g.apply_tuple(t) for t in tuples} == tuples:
-            kept |= 1 << i
+    table = G.element_table(cap)
+    kept = table.setwise(tuples)
     return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree)
 
 
@@ -381,31 +392,87 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _ElementTable:
+class ElementTable:
     """A group's elements in sorted order, so index i <-> element i.
 
     Subsets of the group are integer bitmasks over the indices; index 0 is
     the identity (the smallest image tuple), and ascending indices follow
-    the elements' sort order.  Right-multiplication columns are built on
-    first use, so only the generators actually multiplied by cost a column.
+    the elements' sort order.  `fixmasks[i]` is the fixed-point set of
+    element i as a bitmask over the points, so pointwise stabilizers and
+    fixed sets are containment tests and ANDs of masks.  The index map, the
+    right-multiplication columns and the subgroup lattice are built on first
+    use.
     """
 
-    __slots__ = ("elements", "_index", "_columns")
+    __slots__ = ("elements", "fixmasks", "_index", "_columns", "_fix_counts",
+                 "_lattice")
 
     def __init__(self, elements: list[Perm]):
         self.elements = elements
-        self._index = {g.images: i for i, g in enumerate(elements)}
+        shared: dict[int, int] = {}  # equal masks share one int object
+        masks = []
+        for g in elements:
+            mask = 0
+            for x, y in enumerate(g.images):
+                if x == y:
+                    mask |= 1 << x
+            masks.append(shared.setdefault(mask, mask))
+        self.fixmasks = masks
+        self._index: dict[tuple[int, ...], int] | None = None
         self._columns: dict[int, list[int]] = {}
+        self._fix_counts: dict[int, int] | None = None
+        self._lattice: list[tuple[int, list[int]]] | None = None
 
     def perms(self, indices: Iterable[int]) -> list[Perm]:
         return [self.elements[i] for i in indices]
+
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Image tuple -> element index."""
+        if self._index is None:
+            self._index = {g.images: i for i, g in enumerate(self.elements)}
+        return self._index
+
+    def fixed(self, mask: int) -> int:
+        """The points fixed by every element of `mask`."""
+        fixmasks = self.fixmasks
+        out = fixmasks[0]
+        for i in _bits(mask):
+            out &= fixmasks[i]
+        return out
+
+    def pointwise(self, points: int) -> int:
+        """The elements fixing every point of the mask `points`."""
+        out = 0
+        for i, f in enumerate(self.fixmasks):
+            if f & points == points:
+                out |= 1 << i
+        return out
+
+    def pointwise_order(self, points: int) -> int:
+        """The number of elements fixing every point of `points`."""
+        counts = self._fix_counts
+        if counts is None:
+            counts = self._fix_counts = {}
+            for f in self.fixmasks:
+                counts[f] = counts.get(f, 0) + 1
+        return sum(c for f, c in counts.items() if f & points == points)
+
+    def setwise(self, tuples: set[tuple[int, ...]]) -> int:
+        """The elements mapping the set of tuples onto itself (into is
+        enough: an element is injective on tuples and the set is finite)."""
+        out = 0
+        for i, g in enumerate(self.elements):
+            img = g.images
+            if all(tuple(img[e] for e in t) in tuples for t in tuples):
+                out |= 1 << i
+        return out
 
     def column(self, j: int) -> list[int]:
         """column(j)[i] is the index of elements[i] * elements[j]."""
         col = self._columns.get(j)
         if col is None:
             g = self.elements[j].images
-            index = self._index
+            index = self.index()
             col = [index[tuple(map(e.images.__getitem__, g))] for e in self.elements]
             self._columns[j] = col
         return col
@@ -441,7 +508,7 @@ class _ElementTable:
     def zuppos(self) -> list[tuple[int, int]]:
         """One (mask, generator) pair per cyclic subgroup of prime-power
         order, the generator being its smallest element that generates it."""
-        index = self._index
+        index = self.index()
         ident = self.elements[0]
         out = []
         seen = set()
@@ -459,6 +526,31 @@ class _ElementTable:
                     out.append((mask, j))
         return out
 
+    def subgroups(self) -> list[tuple[int, list[int]]]:
+        """Every subgroup as (mask, minimal generators), sorted by (order,
+        element list); computed once.
+
+        Cyclic extension (Neubüser): starting from the trivial group, join
+        each subgroup found with each cyclic subgroup of prime-power order it
+        misses.  Complete because every subgroup is the join of the cyclic
+        subgroups of prime-power order it contains.
+        """
+        if self._lattice is None:
+            zuppos = self.zuppos()
+            gens_of: dict[int, list[int]] = {1: []}
+            worklist = [1]
+            for H in worklist:
+                for C, c in zuppos:
+                    if C & ~H == 0:
+                        continue
+                    join = self.generated(gens_of[H] + [c])
+                    if join not in gens_of:
+                        gens_of[join] = self.minimal_generators(join)
+                        worklist.append(join)
+            ordered = sorted(gens_of, key=lambda m: (m.bit_count(), list(_bits(m))))
+            self._lattice = [(m, gens_of[m]) for m in ordered]
+        return self._lattice
+
 
 def _is_prime_power(n: int) -> bool:
     p = 2
@@ -474,28 +566,15 @@ def _is_prime_power(n: int) -> bool:
 def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
     """Every subgroup of G exactly once, sorted by (order, element list).
 
-    Cyclic extension (Neubüser): starting from the trivial group, join each
-    subgroup found with each cyclic subgroup of prime-power order it misses.
-    Complete because every subgroup is the join of the cyclic subgroups of
-    prime-power order it contains.  Subgroups are bitmasks over G's element
-    table; each is returned closed on its `minimal_generators`.
+    The lattice is `ElementTable.subgroups` on G's table, so the i-th group
+    returned is the i-th mask there; each is closed on its minimal
+    generators.
     """
     if G.order > cap:
         raise CapError(f"group order {G.order} exceeds subgroup enumeration cap {cap}")
-    table = _ElementTable(G.elements(cap=None))
-    zuppos = table.zuppos()
-    gens_of: dict[int, list[int]] = {1: []}
-    worklist = [1]
-    for H in worklist:
-        for C, c in zuppos:
-            if C & ~H == 0:
-                continue
-            join = table.generated(gens_of[H] + [c])
-            if join not in gens_of:
-                gens_of[join] = table.minimal_generators(join)
-                worklist.append(join)
-    ordered = sorted(gens_of, key=lambda m: (m.bit_count(), list(_bits(m))))
-    return [close_group(table.perms(gens_of[m]), degree=G.degree) for m in ordered]
+    table = G.element_table(cap=None)
+    return [close_group(table.perms(gens), degree=G.degree)
+            for _, gens in table.subgroups()]
 
 
 def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:

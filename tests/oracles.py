@@ -5,17 +5,26 @@ come from schoolbook polynomial arithmetic, automorphism groups from filtering
 all bijections, group orders from naive closure, and formula evaluation from a
 witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
-joins of Perm sets, the stabilizer closed twice) are kept here as references.
+joins of Perm sets, the stabilizer closed twice, the duality check and code
+searches as loops over element lists) are kept here as references.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
+from galbench.aut import (automorphism_group, automorphism_group_fixing,
+                          relative_restriction)
+from galbench.errors import (CapError, HypothesisError, InternalCheckError,
+                             StructureError)
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
-from galbench.perm import Perm, close_group
+from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
+                             _render_group, _render_set, dcl, find_generator,
+                             fix_of_set, fix_of_subgroup, is_normal_extension)
+from galbench.perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, Perm,
+                           all_subgroups, close_group)
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
 
@@ -195,6 +204,154 @@ def two_close_stabilizer(G, points):
     points = list(dict.fromkeys(points))
     chain = close_group(G.generators, degree=G.degree, base_prefix=points)
     return close_group(chain.level_generators(len(points)), degree=G.degree)
+
+
+# -- the duality check and code searches over element lists -------------------------
+
+
+def slow_find_code(M, F, max_len=3, element_cap=DEFAULT_ELEMENT_CAP):
+    """`find_code` by filtering Aut(M)'s element list for every candidate."""
+    tuples = {M.check_tuple(t, "set member") for t in F}
+    lengths = {len(t) for t in tuples}
+    if len(lengths) > 1:
+        raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
+    elems = automorphism_group(M).elements(cap=element_cap)
+    setwise = [g for g in elems if {g.apply_tuple(t) for t in tuples} == tuples]
+    target = len(setwise)
+    candidates = [x for x in range(M.size) if all(g(x) == x for g in setwise)]
+    for length in range(0, max_len + 1):
+        for cand in product(candidates, repeat=length):
+            pointwise = sum(1 for g in elems if all(g(e) == e for e in cand))
+            if pointwise == target:
+                return cand
+    return None
+
+
+def slow_codes_finite_sets(M, max_set_size=2, max_len=3) -> CodesReport:
+    """`codes_finite_sets` with set orbits from Aut(M)'s element list and
+    codes from `slow_find_code`."""
+    if max_set_size < 1 or max_len < 0:
+        raise StructureError("caps must be positive")
+    elems = automorphism_group(M).elements()
+    reps = []
+    seen = set()
+    for size in range(1, max_set_size + 1):
+        for combo in combinations(range(M.size), size):
+            if combo in seen:
+                continue
+            images = {tuple(sorted(g(e) for e in combo)) for g in elems}
+            seen.update(images)
+            reps.append(min(images))
+    failures = [M.render_set(rep) for rep in reps
+                if slow_find_code(M, [(e,) for e in rep], max_len) is None]
+    return CodesReport(structure=M.name, max_set_size=max_set_size, max_len=max_len,
+                       sets_checked=len(reps), failures=tuple(failures))
+
+
+def slow_code_is_verified(M, F, code, max_elements=DEFAULT_ELEMENT_CAP) -> bool:
+    """The stabilizer equality `multisymmetric_code` asserts, over Perm sets:
+    the automorphisms fixing `code` pointwise are those fixing F setwise."""
+    tuples = set(F)
+    elems = automorphism_group(M).elements(cap=max_elements)
+    setwise = {g for g in elems if {g.apply_tuple(t) for t in tuples} == tuples}
+    pointwise = {g for g in elems if all(g(e) == e for e in code)}
+    return setwise == pointwise
+
+
+def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP_CAP,
+                               element_cap=DEFAULT_ELEMENT_CAP) -> GaloisReport:
+    """`verify_galois_correspondence` with a stabilizer chain per subgroup and
+    per intermediate set (`fix_of_set`), the intermediate sets found by
+    scanning every submask of C against Aut(M/A)'s element list, and codes
+    from `slow_find_code`."""
+    A0 = M.check_subset(A, "base set")
+    C0 = M.check_subset(C, "top set")
+    if not A0 <= C0:
+        raise StructureError("base set must be contained in the top set")
+    A = dcl(M, A0)
+    C = dcl(M, C0)
+    normalized = (A != A0) or (C != C0)
+    if not is_normal_extension(M, A, C):
+        raise HypothesisError(
+            "top set is not a normal extension of the base: some orbit leaves it")
+
+    G_A = automorphism_group_fixing(M, A)
+    restr = relative_restriction(M, C, A)
+    G = restr.image
+    points = restr.points
+    if G.order > subgroup_cap:
+        raise CapError(f"relative group order {G.order} exceeds cap {subgroup_cap}")
+    subs = all_subgroups(G, cap=subgroup_cap)
+
+    pairs = []
+    failures = []
+    for H in subs:
+        fixed = fix_of_subgroup(M, C, H)
+        closure = fix_of_set(M, C, A, fixed)
+        pairs.append((H.generator_strings(), M.render_set(fixed)))
+        if not closure.equals(H):
+            failures.append(DualityFailure(
+                kind="subgroup", subject=_render_group(H), subject_order=H.order,
+                closure=_render_group(closure), closure_order=closure.order))
+
+    # dcl(A + S) for every S inside C, as an intersection of the fixed-point
+    # sets of the elements of Aut(M/A) that fix S
+    fixmasks = []
+    for g in G_A.elements(cap=element_cap):
+        mask = 0
+        for x in range(M.size):
+            if g(x) == x:
+                mask |= 1 << x
+        fixmasks.append(mask)
+    cmask = 0
+    for e in C:
+        cmask |= 1 << e
+    seen_masks = set()
+    sub = cmask
+    while True:
+        closure_mask = (1 << M.size) - 1
+        for gmask in fixmasks:
+            if sub & ~gmask == 0:
+                closure_mask &= gmask
+        seen_masks.add(closure_mask)
+        if sub == 0:
+            break
+        sub = (sub - 1) & cmask
+    intermediates = [frozenset(x for x in range(M.size) if mask >> x & 1)
+                     for mask in seen_masks]
+    intermediates.sort(key=lambda s: (len(s), sorted(s)))
+    for B in intermediates:
+        if not B <= C:
+            raise InternalCheckError("an intermediate closure escapes the top set")
+        closure = fix_of_subgroup(M, C, fix_of_set(M, C, A, B))
+        if closure != B:
+            failures.append(DualityFailure(
+                kind="set", subject=_render_set(M, B), subject_order=len(B),
+                closure=_render_set(M, closure), closure_order=len(closure)))
+
+    gen = find_generator(M, A, C, max_len)
+    coding_failures = []
+    if gen is None:
+        coding_ok = None
+    else:
+        gen_positions = tuple(points.index(e) for e in gen)
+        for H in subs:
+            F = {tuple(points[h(p)] for p in gen_positions) for h in H.elements()}
+            if slow_find_code(M, F, max_len) is None:
+                coding_failures.append(
+                    "{" + ", ".join("(" + ", ".join(M.render_tuple(t)) + ")"
+                                    for t in sorted(F)) + "}")
+        coding_ok = not coding_failures
+
+    return GaloisReport(
+        structure=M.name, base=M.render_set(A), top=M.render_set(C), points=points,
+        group_order=G.order, group_generators=G.generator_strings(),
+        subgroups=tuple(H.generator_strings() for H in subs),
+        subgroup_orders=tuple(H.order for H in subs),
+        intermediates=tuple(M.render_set(B) for B in intermediates),
+        pairs=tuple(pairs), failures=tuple(failures), coding_ok=coding_ok,
+        coding_failures=tuple(coding_failures), normalized_inputs=normalized,
+        subgroup_objects=tuple(subs))
 
 
 # -- formula evaluation oracle ------------------------------------------------------

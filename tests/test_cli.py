@@ -184,3 +184,43 @@ def test_help_goes_to_out_and_returns_0(argv, capsys):
     assert code == 0
     assert text.startswith("usage: galbench")
     assert capsys.readouterr() == ("", "")
+
+
+def test_consecutive_calls_share_no_parser_state():
+    # the parser is built once per process; each call must still see only
+    # its own options and defaults
+    code, payload = run_json(["aut", "corpus:EX_RS", "--fixing", "a"])
+    assert code == 0 and payload["order"] == 2
+    code, text = run(["aut", "corpus:EX_RS"])
+    assert code == 0 and "order 8" in text
+    code, payload = run_json(["aut", "corpus:EX_RS"])
+    assert code == 0 and payload["order"] == 8
+    code, text = run(["aut", "corpus:EX_RS", "--fixing", "a"])
+    assert code == 0 and text.splitlines()[1] == "order 2"
+    code, text = run(["code", "corpus:EX_RS", "--tuples", "a;b", "--max-len", "1"])
+    assert code == 0 and text.strip() == "none (no code of length <= 1)"
+    code, text = run(["code", "corpus:EX_RS", "--tuples", "a;b"])
+    assert code == 0 and text.strip() == "none (no code of length <= 3)"
+
+
+def test_non_utf8_structure_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"structure S { universe = { a } }\n\xff\xfe")
+    code, text = run(["aut", str(path)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["parse", "eval"])
+@pytest.mark.parametrize("formula", [
+    "~" * 5000 + "x = x",
+    "(" * 5000 + "x = x" + ")" * 5000,
+    "".join(f"A x{i}. " for i in range(5000)) + "x0 = x0",
+    " & ".join(["x = x"] * 5000),
+    " -> ".join(["x = x"] * 5000),
+], ids=["negations", "parentheses", "quantifiers", "conjunction", "implication"])
+def test_deeply_nested_formula_exits_2(command, formula, capsys):
+    code, _ = run([command, "corpus:C5", formula])
+    assert code == 2
+    assert "formula nests deeper than" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galbench.errors import EvalError, FormulaError
-from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
-                              Implies, Not, Or, evaluate, format_formula,
+from galbench.formula import (MAX_DEPTH, And, Atom, Eq, ExactCount, Exists,
+                              Forall, Iff, Implies, Not, Or, evaluate, format_formula,
                               free_variables, parameters, parse_formula,
                               solution_set)
 from galbench.structure import load_structure
@@ -241,3 +241,14 @@ def test_exact_count_matches_solution_count(ex_rs, gf4):
             count = len(solution_set(M, body, ("x",)))
             for n in range(M.size + 1):
                 assert evaluate(M, ExactCount(n, "x", body)) == (count == n)
+
+
+def test_nesting_limit_is_exact(c5):
+    deepest = parse_formula("~" * (MAX_DEPTH - 1) + "v0 = v0", c5.signature)
+    assert evaluate(c5, deepest) is (MAX_DEPTH % 2 == 1)
+    assert parse_formula(format_formula(deepest), c5.signature) == deepest
+    chain = " & ".join(["v0 = v0"] * MAX_DEPTH)
+    assert evaluate(c5, parse_formula(chain, c5.signature)) is True
+    for text in ("~" * MAX_DEPTH + "v0 = v0", chain + " & v0 = v0"):
+        with pytest.raises(FormulaError, match="nests deeper than"):
+            parse_formula(text, c5.signature)
