@@ -464,10 +464,7 @@ def run_command(argv: list[str], out=None) -> int:
     except _HelpRequested as exc:
         print(exc.args[0], file=out, end="")
         return EXIT_OK
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GalbenchError as exc:
+    except (_UsageError, GalbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

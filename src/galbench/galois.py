@@ -21,8 +21,7 @@ structures may be computed concurrently.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -32,7 +31,7 @@ from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, StructureError)
 from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, PermGroup, _bits,
-                   _check_cap, all_subgroups, is_normal_subgroup, orbit,
+                   _check_cap, is_normal_subgroup, orbit,
                    restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
@@ -530,8 +529,8 @@ class DualityFailure:
         }
 
 
-def _render_group(H: PermGroup) -> str:
-    return "<" + (", ".join(H.generator_strings()) or "()") + ">"
+def _render_group(generators: Sequence[str]) -> str:
+    return "<" + (", ".join(generators) or "()") + ">"
 
 
 def _render_set(M: Structure, B: Iterable[int]) -> str:
@@ -545,18 +544,14 @@ class GaloisReport:
     structure: str
     base: tuple[str, ...]
     top: tuple[str, ...]
-    points: tuple[int, ...]
     group_order: int
-    group_generators: tuple[str, ...]
     subgroups: tuple[tuple[str, ...], ...]
-    subgroup_orders: tuple[int, ...]
     intermediates: tuple[tuple[str, ...], ...]
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     failures: tuple[DualityFailure, ...]
     coding_ok: bool | None
     coding_failures: tuple[str, ...]
     normalized_inputs: bool
-    subgroup_objects: tuple[PermGroup, ...] = field(repr=False, default=())
 
     @property
     def subgroup_count(self) -> int:
@@ -584,9 +579,6 @@ class GaloisReport:
             "verdict": "pass" if self.verdict else "fail",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int],
                                  max_len: int = DEFAULT_MAX_LEN,
@@ -607,16 +599,17 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
 
     Both sides run on bitmasks over the relative group's cached element
     table, whose elements carry their fixed-point sets as masks over the
-    positions of C.  A subgroup is its mask from `all_subgroups`; Fix(H) is
-    the AND of its members' fixed-point masks, and Fix(Fix(H)) is the mask of
-    elements whose fixed-point mask contains Fix(H).  dcl(A + S) for S inside
-    C is the intersection of the fixed sets containing S (a stabilizer of S
-    in Aut(M/A) restricts into Aut(C/A), and dcl(A + S) stays inside the
-    definably closed C), so the intermediate sets are the closure system
-    generated by the distinct fixed-point masks, from C down.  Each fixed
-    set is still checked to be definably closed, and a failing subgroup's
-    closure group is built by `fix_of_set` for its rendering, once per
-    distinct fixed set.
+    positions of C.  A subgroup is its mask from `ElementTable.subgroups`,
+    rendered by its minimal generators; no group is closed for it.  Fix(H)
+    is the AND of its members' fixed-point masks, and Fix(Fix(H)) is the mask
+    of elements whose fixed-point mask contains Fix(H).  dcl(A + S) for S
+    inside C is the intersection of the fixed sets containing S (a
+    stabilizer of S in Aut(M/A) restricts into Aut(C/A), and dcl(A + S)
+    stays inside the definably closed C), so the intermediate sets are the
+    closure system generated by the distinct fixed-point masks, from C down.
+    Each fixed set is still checked to be definably closed, and a failing
+    subgroup's closure group is built by `fix_of_set` for its rendering,
+    once per distinct fixed set.
     """
     A0 = M.check_subset(A, "base set")
     C0 = M.check_subset(C, "top set")
@@ -634,9 +627,8 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     points = restr.points
     if G.order > subgroup_cap:
         raise CapError(f"relative group order {G.order} exceeds cap {subgroup_cap}")
-    subs = all_subgroups(G, cap=subgroup_cap)
     table = G.element_table(cap=None)
-    sub_masks = [mask for mask, _ in table.subgroups()]
+    lattice = table.subgroups()
 
     def elements_of(positions: int) -> frozenset[int]:
         return frozenset(points[i] for i in _bits(positions))
@@ -644,20 +636,21 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     pairs = []
     failures = []
     closures: dict[int, PermGroup] = {}  # failing subgroups' Fix(Fix(H)), by Fix(H)
-    for H, mask in zip(subs, sub_masks):
+    for mask, gens in lattice:
+        gen_strings = tuple(str(g) for g in table.perms(gens))
         fixed_mask = table.fixed(mask)
         fixed = elements_of(fixed_mask)
         _require_closed_in(M, C, fixed)
-        pairs.append((H.generator_strings(), M.render_set(fixed)))
+        pairs.append((gen_strings, M.render_set(fixed)))
         if table.pointwise(fixed_mask) != mask:
             closure = closures.get(fixed_mask)
             if closure is None:
                 closure = closures[fixed_mask] = fix_of_set(M, C, A, fixed)
             failures.append(DualityFailure(
                 kind="subgroup",
-                subject=_render_group(H),
-                subject_order=H.order,
-                closure=_render_group(closure),
+                subject=_render_group(gen_strings),
+                subject_order=mask.bit_count(),
+                closure=_render_group(closure.generator_strings()),
                 closure_order=closure.order,
             ))
 
@@ -694,7 +687,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         coding_ok = None
     else:
         gen_positions = tuple(points.index(e) for e in gen)
-        for mask in sub_masks:
+        for mask, _ in lattice:
             F = {tuple(points[table.elements[i].images[p]] for p in gen_positions)
                  for i in _bits(mask)}
             if find_code(M, F, max_len) is None:
@@ -707,18 +700,14 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         structure=M.name,
         base=M.render_set(A),
         top=M.render_set(C),
-        points=points,
         group_order=G.order,
-        group_generators=G.generator_strings(),
-        subgroups=tuple(H.generator_strings() for H in subs),
-        subgroup_orders=tuple(H.order for H in subs),
+        subgroups=tuple(gens for gens, _ in pairs),
         intermediates=tuple(M.render_set(B) for B, _ in intermediates),
         pairs=tuple(pairs),
         failures=tuple(failures),
         coding_ok=coding_ok,
         coding_failures=tuple(coding_failures),
         normalized_inputs=normalized,
-        subgroup_objects=tuple(subs),
     )
 
 
@@ -787,9 +776,6 @@ class TowerReport:
             "checks": [c.to_json_dict() for c in self.checks],
             "verdict": "pass" if self.verdict else "fail",
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],

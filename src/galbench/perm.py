@@ -2,9 +2,11 @@
 
 Groups carry a stabilizer chain (base points, per-level strong generators,
 and transversals) built by a deterministic Schreier-Sims pass, giving exact
-orders and a sound, complete membership test.  Base points are chosen
-ascending after any forced prefix, and every iteration order is fixed, so identical inputs always
-produce identical chains, generator lists, and reports.
+orders and a sound, complete membership test.  After any forced prefix, each
+new base point is the smallest point moved by the first generator or Schreier
+residue that fixes the current base, and every iteration order is fixed, so
+identical inputs always produce identical chains, generator lists, and
+reports.
 
 Groups are immutable once closed; membership tests and queries are pure.
 """
@@ -210,8 +212,11 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
     """Close a generator list into a `PermGroup` with a stabilizer chain.
 
     `base_prefix` forces the base to start with the given points (in order),
-    which makes pointwise stabilizers directly readable off the chain; further
-    base points are the smallest moved points, ascending.
+    which makes pointwise stabilizers directly readable off the chain.  Each
+    further base point is the smallest point moved by the first generator or
+    Schreier residue that fixes the base so far; the base need not ascend.
+    Every level's transversal is rebuilt by `complete_level` after the last
+    change to its generators.
     """
     gens = []
     for g in generators:
@@ -302,8 +307,6 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
     while i >= 0:
         complete_level(i)
         i -= 1
-    for i in range(len(base)):
-        rebuild(i)
 
     order = 1
     for t in trans:

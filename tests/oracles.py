@@ -291,8 +291,10 @@ def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP
         pairs.append((H.generator_strings(), M.render_set(fixed)))
         if not closure.equals(H):
             failures.append(DualityFailure(
-                kind="subgroup", subject=_render_group(H), subject_order=H.order,
-                closure=_render_group(closure), closure_order=closure.order))
+                kind="subgroup", subject=_render_group(H.generator_strings()),
+                subject_order=H.order,
+                closure=_render_group(closure.generator_strings()),
+                closure_order=closure.order))
 
     # dcl(A + S) for every S inside C, as an intersection of the fixed-point
     # sets of the elements of Aut(M/A) that fix S
@@ -344,14 +346,11 @@ def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP
         coding_ok = not coding_failures
 
     return GaloisReport(
-        structure=M.name, base=M.render_set(A), top=M.render_set(C), points=points,
-        group_order=G.order, group_generators=G.generator_strings(),
-        subgroups=tuple(H.generator_strings() for H in subs),
-        subgroup_orders=tuple(H.order for H in subs),
+        structure=M.name, base=M.render_set(A), top=M.render_set(C),
+        group_order=G.order, subgroups=tuple(H.generator_strings() for H in subs),
         intermediates=tuple(M.render_set(B) for B in intermediates),
         pairs=tuple(pairs), failures=tuple(failures), coding_ok=coding_ok,
-        coding_failures=tuple(coding_failures), normalized_inputs=normalized,
-        subgroup_objects=tuple(subs))
+        coding_failures=tuple(coding_failures), normalized_inputs=normalized)
 
 
 # -- formula evaluation oracle ------------------------------------------------------

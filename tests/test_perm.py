@@ -10,7 +10,7 @@ from galbench.perm import (Perm, all_subgroups, close_group, is_normal_subgroup,
                            orbit, restrict_to_invariant_set, setwise_stabilizer,
                            stabilizer_pointwise, trivial_group)
 
-from oracles import naive_closure
+from oracles import naive_closure, word_closure
 
 
 def cyc(n, *cycles):
@@ -106,6 +106,51 @@ def test_corpus_groups_match_naive_closure(corpus_structure):
         return
     G = automorphism_group(corpus_structure)
     assert G.order == len(naive_closure(G.generators, G.degree))
+
+
+def assert_chain_invariants(G):
+    """Level i's transversal covers exactly the orbit of base[i] under that
+    level's generators, each entry maps base[i] to its key, and the order is
+    the product of the transversal sizes."""
+    order = 1
+    for i, point in enumerate(G.base):
+        reached = {point}
+        frontier = [point]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for s in G._levels[i]:
+                    if s(p) not in reached:
+                        reached.add(s(p))
+                        nxt.append(s(p))
+            frontier = nxt
+        assert set(G._trans[i]) == reached
+        for key, u in G._trans[i].items():
+            assert u(point) == key
+        order *= len(G._trans[i])
+    assert G.order == order
+
+
+def test_chain_invariants_on_corpus_groups(corpus_structure):
+    G = automorphism_group(corpus_structure)
+    assert_chain_invariants(G)
+    for k in range(1, min(3, G.degree) + 1):
+        assert_chain_invariants(stabilizer_pointwise(G, range(k)))
+        assert_chain_invariants(close_group(G.generators, degree=G.degree,
+                                            base_prefix=range(G.degree - k, G.degree)))
+
+
+def test_chain_invariants_on_random_closures():
+    rng = random.Random(11)
+    for trial in range(300):
+        degree = rng.randint(2, 6)
+        gens = [Perm(rng.sample(range(degree), degree))
+                for _ in range(rng.randint(1, 3))]
+        prefix = rng.sample(range(degree), rng.randint(0, 2)) if trial % 2 else []
+        G = close_group(gens, degree=degree, base_prefix=prefix)
+        assert G.base[:len(prefix)] == tuple(prefix)
+        assert_chain_invariants(G)
+        assert G.order == len(word_closure(gens, degree))
 
 
 # -- orbits and stabilizers ----------------------------------------------------------
