@@ -156,17 +156,53 @@ def search_automorphism_generators(M: Structure,
     return sorted(gens)
 
 
+def _orbit_product(generators: list[Perm], degree: int) -> int:
+    """The order of the group `search_automorphism_generators` found: the
+    product of its per-level orbit sizes.
+
+    The search handles base point x with every generator of the levels after
+    x already found, and finds a generator for each remaining point of x's
+    orbit in the stabilizer of the points before x; each such generator fixes
+    those points and moves x.  So the generators of levels x and later are
+    exactly those whose smallest moved point is >= x, and the orbit of x
+    under them is the search's whole orbit at level x (`known` when the level
+    ends).  The product over x is |Aut(M/fixed)| by orbit-stabilizer.
+    """
+    first_moved = [next(i for i, j in enumerate(g.images) if i != j)
+                   for g in generators]
+    order = 1
+    for x in range(degree):
+        level = [g for g, m in zip(generators, first_moved) if m >= x]
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            p = frontier.pop()
+            for g in level:
+                q = g.images[p]
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        order *= len(seen)
+    return order
+
+
 def _cache(M: Structure) -> dict:
     return M._caches.setdefault("aut", {})
 
 
 def automorphism_group(M: Structure) -> PermGroup:
     """The group of all bijections of the universe preserving every relation
-    table in both directions."""
+    table in both directions.
+
+    The search's orbit product is the group's order, so the closure is told
+    it and skips the redundant sifting; a mismatch raises
+    `InternalCheckError`.
+    """
     cache = _cache(M)
     got = cache.get(frozenset())
     if got is None:
-        got = close_group(search_automorphism_generators(M), degree=M.size)
+        gens = search_automorphism_generators(M)
+        got = close_group(gens, degree=M.size, known_order=_orbit_product(gens, M.size))
         cache[frozenset()] = got
     return got
 

@@ -7,7 +7,9 @@ the literal ``ALL`` for the whole universe; sets of tuples separate tuples
 with semicolons (``"a,b;c,d"`` is the two-pair set).
 
 Exit codes: 0 success (including a passing verification), 1 a verification
-ran and failed, 2 usage or input error.
+ran and failed, 2 usage or input error, 3 internal error (a failed internal
+consistency check, which means a bug; the message on stderr starts with
+``internal error:``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from . import formula as fm
 from .aut import automorphism_group, automorphism_group_fixing
 from .corpus import CORPUS, corpus_names, load_corpus
-from .errors import GalbenchError
+from .errors import GalbenchError, InternalCheckError
 from .galois import (DEFAULT_MAX_LEN, acl, codes_finite_sets, dcl,
                      degree_of_extension, find_code, find_generator,
                      is_irreducible_formula, is_normal_extension,
@@ -33,6 +35,7 @@ from .suite import run_full_verification
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -464,6 +467,9 @@ def run_command(argv: list[str], out=None) -> int:
     except _HelpRequested as exc:
         print(exc.args[0], file=out, end="")
         return EXIT_OK
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (_UsageError, GalbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,11 +43,11 @@ DEFAULT_MAX_LEN = 3
 
 
 def dcl(M: Structure, A: Iterable[int]) -> frozenset[int]:
-    """Definable closure: the fixed points of Aut(M/A).  Contains A; idempotent."""
-    A = M.check_subset(A, "parameter set")
-    G = automorphism_group_fixing(M, A)
-    return frozenset(x for x in range(M.size)
-                     if all(g(x) == x for g in G.generators))
+    """Definable closure: the fixed points of Aut(M/A).  Contains A; idempotent.
+
+    `automorphism_group_fixing` checks A; the group keeps its fixed points.
+    """
+    return automorphism_group_fixing(M, A).fixed_points()
 
 
 def acl(M: Structure, A: Iterable[int]) -> frozenset[int]:
@@ -235,8 +235,7 @@ def fix_of_subgroup(M: Structure, C: Iterable[int], H: PermGroup) -> frozenset[i
     if H.degree != len(points):
         raise StructureError(
             f"group of degree {H.degree} does not act on a set of {len(points)} elements")
-    fixed = frozenset(points[i] for i in range(len(points))
-                      if all(g(i) == i for g in H.generators))
+    fixed = frozenset(points[i] for i in H.fixed_points())
     _require_closed_in(M, C, fixed)
     return fixed
 

@@ -8,12 +8,29 @@ residue that fixes the current base, and every iteration order is fixed, so
 identical inputs always produce identical chains, generator lists, and
 reports.
 
+When the group's order is known in advance, `close_group(..., known_order=N)`
+stops testing Schreier generators as soon as the product of the current
+transversal sizes equals N ("Schreier-Sims with known order"; Seress,
+*Permutation Group Algorithms*, 2003).  This is complete, and leaves the
+chain byte for byte as the full pass would: every generator at level i fixes
+the base points before it, so each transversal is a subset of that level's
+true orbit in G, and the product of the true orbit sizes is
+|G| / |G_(base)| <= |G|.  A product equal to |G| therefore means every
+transversal is already its full orbit and the base's pointwise stabilizer is
+trivial, so every remaining Schreier generator sifts to the identity and no
+level, base point or transversal would change.  Only those sifts are skipped;
+every transversal is still rebuilt where the full pass rebuilds it.  The
+order is passed only where it is exact (a completed chain's order, a
+subgroup mask's size, the automorphism search's orbit product), and a
+finished chain whose order differs from it raises `InternalCheckError`.
+
 Groups are immutable once closed; membership tests and queries are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, GroupError, InternalCheckError
@@ -145,7 +162,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
-                 "_table")
+                 "_table", "_fixed")
 
     def __init__(self, degree, generators, base, levels, trans, order):
         self.degree = degree
@@ -155,6 +172,7 @@ class PermGroup:
         self._trans = trans
         self.order = order
         self._table = None
+        self._fixed = None
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -163,6 +181,13 @@ class PermGroup:
         return residue.is_identity()
 
     __contains__ = contains
+
+    def fixed_points(self) -> frozenset[int]:
+        """The points fixed by every element, computed on first use and kept."""
+        if self._fixed is None:
+            self._fixed = frozenset(x for x in range(self.degree)
+                                    if all(g.images[x] == x for g in self.generators))
+        return self._fixed
 
     def level_generators(self, k: int) -> list[Perm]:
         """Strong generators fixing the first k base points pointwise."""
@@ -208,7 +233,8 @@ class PermGroup:
 
 
 def close_group(generators: Iterable[Perm], *, degree: int | None = None,
-                base_prefix: Sequence[int] = ()) -> PermGroup:
+                base_prefix: Sequence[int] = (),
+                known_order: int | None = None) -> PermGroup:
     """Close a generator list into a `PermGroup` with a stabilizer chain.
 
     `base_prefix` forces the base to start with the given points (in order),
@@ -217,6 +243,18 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
     Schreier residue that fixes the base so far; the base need not ascend.
     Every level's transversal is rebuilt by `complete_level` after the last
     change to its generators.
+
+    `known_order`, when given, must be the exact order of the generated
+    group.  `complete_level` then stops sifting Schreier generators once the
+    product of the transversal sizes equals it; it still rebuilds every
+    transversal.  Each level's generators fix the base points before it, so
+    each transversal lies inside that level's orbit in the group, and the
+    product is at most |G|.  Equality means every transversal is a full
+    orbit and the base's pointwise stabilizer is trivial: every skipped
+    Schreier generator would have sifted to the identity, so the chain is
+    the one the full pass builds.  A finished chain whose order is not
+    `known_order` raises `InternalCheckError`; an overstated order is
+    caught that way, after a full pass.
     """
     gens = []
     for g in generators:
@@ -281,8 +319,14 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
             frontier = nxt
         trans[i] = t
 
+    def reached() -> bool:
+        """Does the chain already have the known order?"""
+        return known_order is not None and prod(map(len, trans)) == known_order
+
     def complete_level(i: int):
         rebuild(i)
+        if reached():
+            return
         points = sorted(trans[i])
         level_gens = list(levels[i])
         for point in points:
@@ -302,15 +346,18 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
                     levels[level].append(residue)
                 for level in range(j, i, -1):
                     complete_level(level)
+                if reached():
+                    return
 
     i = len(base) - 1
     while i >= 0:
         complete_level(i)
         i -= 1
 
-    order = 1
-    for t in trans:
-        order *= len(t)
+    order = prod(map(len, trans))
+    if known_order is not None and order != known_order:
+        raise InternalCheckError(
+            f"closed group has order {order}, not the known order {known_order}")
     return PermGroup(degree, tuple(gens), tuple(base), tuple(tuple(l) for l in levels),
                      tuple(trans), order)
 
@@ -345,8 +392,8 @@ def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
     """The subgroup of G fixing every entry of the tuple.
 
-    One closure with the entries as base prefix; the stabilizer is the chain
-    from the first level after the prefix on.
+    One closure with the entries as base prefix, told G's order; the
+    stabilizer is the chain from the first level after the prefix on.
     """
     points = []
     for e in t:
@@ -354,18 +401,16 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
             raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
         if e not in points:
             points.append(e)
-    chain = close_group(G.generators, degree=G.degree, base_prefix=points)
+    chain = close_group(G.generators, degree=G.degree, base_prefix=points,
+                        known_order=G.order)
     k = len(points)
     gens: list[Perm] = []
     for g in chain.level_generators(k):
         if g not in gens:
             gens.append(g)
     trans = chain._trans[k:]
-    order = 1
-    for level in trans:
-        order *= len(level)
     return PermGroup(G.degree, tuple(gens), chain.base[k:], chain._levels[k:],
-                     trans, order)
+                     trans, prod(map(len, trans)))
 
 
 def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
@@ -381,7 +426,8 @@ def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
                 raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
     table = G.element_table(cap)
     kept = table.setwise(tuples)
-    return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree)
+    return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree,
+                       known_order=kept.bit_count())
 
 
 # -- element tables and the subgroup lattice --------------------------------------
@@ -571,13 +617,13 @@ def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGro
 
     The lattice is `ElementTable.subgroups` on G's table, so the i-th group
     returned is the i-th mask there; each is closed on its minimal
-    generators.
+    generators, told its order (the mask's size).
     """
     if G.order > cap:
         raise CapError(f"group order {G.order} exceeds subgroup enumeration cap {cap}")
     table = G.element_table(cap=None)
-    return [close_group(table.perms(gens), degree=G.degree)
-            for _, gens in table.subgroups()]
+    return [close_group(table.perms(gens), degree=G.degree, known_order=mask.bit_count())
+            for mask, gens in table.subgroups()]
 
 
 def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:
@@ -630,6 +676,7 @@ def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:
             raise NotInvariantError(
                 f"set {points} is not setwise invariant under the group")
         restricted.append(Perm(index[g(e)] for e in points))
+    # No known order for the image: the check below is what tests the split.
     image = close_group(restricted, degree=len(points))
     kernel = stabilizer_pointwise(G, points)
     if image.order * kernel.order != G.order:

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from galbench.aut import (automorphism_group, automorphism_group_fixing,
-                          relative_aut, relative_restriction,
-                          search_automorphism_generators)
+from galbench.aut import (_orbit_product, automorphism_group,
+                          automorphism_group_fixing, relative_aut,
+                          relative_restriction, search_automorphism_generators)
 from galbench.errors import NotInvariantError, StructureError
 from galbench.perm import Perm, close_group, stabilizer_pointwise
 from galbench.structure import load_structure
 
 from oracles import brute_automorphisms, frobenius_perm, naive_closure
+from test_fastpaths import GENERATED
+from test_perm import chain
 
 
 EXPECTED_ORDERS = {"EX_RS": 8, "RIGID3": 1, "C5": 5, "GF4": 2, "GF16": 4}
@@ -171,3 +173,25 @@ def test_random_generator_sets_match_naive_closure():
         gens = [Perm(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
         G = close_group(gens, degree=n)
         assert G.order == len(naive_closure(gens, n))
+
+
+def assert_orbit_product_is_the_order(M):
+    """The search's per-level orbit product is the order of the group its
+    generators close to, with and without fixed points, and the hinted
+    automorphism group is the unhinted closure, chain and all."""
+    for fixed in ((), (0,), tuple(range(0, M.size, 2))):
+        gens = search_automorphism_generators(M, fixed)
+        plain = close_group(gens, degree=M.size)
+        assert _orbit_product(gens, M.size) == plain.order
+    G = automorphism_group(M)
+    plain = close_group(search_automorphism_generators(M), degree=M.size)
+    assert chain(G) == chain(plain)
+
+
+def test_orbit_product_is_the_order_on_the_corpus(corpus_structure):
+    assert_orbit_product_is_the_order(corpus_structure)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_orbit_product_is_the_order_on_generated_families(name):
+    assert_orbit_product_is_the_order(GENERATED[name]())

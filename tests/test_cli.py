@@ -224,3 +224,16 @@ def test_deeply_nested_formula_exits_2(command, formula, capsys):
     code, _ = run([command, "corpus:C5", formula])
     assert code == 2
     assert "formula nests deeper than" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    import galbench.cli
+    from galbench.errors import InternalCheckError
+
+    def broken(M):
+        raise InternalCheckError("chain order mismatch")
+
+    monkeypatch.setattr(galbench.cli, "automorphism_group", broken)
+    code, text = run(["aut", "corpus:EX_RS"])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == "internal error: chain order mismatch\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galbench.aut import automorphism_group
-from galbench.errors import CapError, GroupError
+from galbench.errors import CapError, GroupError, InternalCheckError
 from galbench.perm import (Perm, all_subgroups, close_group, is_normal_subgroup,
                            orbit, restrict_to_invariant_set, setwise_stabilizer,
                            stabilizer_pointwise, trivial_group)
@@ -151,6 +151,75 @@ def test_chain_invariants_on_random_closures():
         assert G.base[:len(prefix)] == tuple(prefix)
         assert_chain_invariants(G)
         assert G.order == len(word_closure(gens, degree))
+
+
+# -- closing with a known order ---------------------------------------------------------
+
+
+def chain(G):
+    """Everything a closure builds, in order: base, generators, level
+    generators, transversals (keys and representatives in insertion order)
+    and the order."""
+    return (G.base, G.generators, G._levels,
+            tuple(tuple(t.items()) for t in G._trans), G.order)
+
+
+def test_known_order_leaves_the_chain_unchanged_on_corpus_groups(corpus_structure):
+    G = automorphism_group(corpus_structure)
+    n = G.degree
+    prefixes = [(), tuple(range(min(3, n))), tuple(range(n - 1, max(-1, n - 4), -1)),
+                tuple(range(0, n, 2)), tuple(range(n))]
+    for prefix in prefixes:
+        plain = close_group(G.generators, degree=n, base_prefix=prefix)
+        hinted = close_group(G.generators, degree=n, base_prefix=prefix,
+                             known_order=G.order)
+        assert chain(hinted) == chain(plain)
+
+
+def test_known_order_leaves_the_chain_unchanged_on_random_closures():
+    rng = random.Random(23)
+    for trial in range(300):
+        degree = rng.randint(1, 7)
+        gens = [Perm(rng.sample(range(degree), degree))
+                for _ in range(rng.randint(0, 4))]
+        prefix = (rng.sample(range(degree), rng.randint(0, min(3, degree)))
+                  if trial % 2 else [])
+        plain = close_group(gens, degree=degree, base_prefix=prefix)
+        hinted = close_group(gens, degree=degree, base_prefix=prefix,
+                             known_order=plain.order)
+        assert chain(hinted) == chain(plain)
+
+
+def test_subgroups_and_stabilizers_match_unhinted_closures(gf16, ex_rs):
+    for M in (gf16, ex_rs):
+        G = automorphism_group(M)
+        for H in all_subgroups(G):
+            assert chain(H) == chain(close_group(H.generators, degree=H.degree))
+        for k in range(G.degree + 1):
+            S = stabilizer_pointwise(G, range(k))
+            plain = close_group(G.generators, degree=G.degree, base_prefix=range(k))
+            assert S.order * len(orbit(G, tuple(range(k)))) == G.order
+            assert S._trans == plain._trans[k:] and S._levels == plain._levels[k:]
+        S = setwise_stabilizer(G, [(0, 1), (1, 0)])
+        assert chain(S) == chain(close_group(S.generators, degree=S.degree))
+
+
+@pytest.mark.parametrize("known", [48, 25, 1000])
+def test_overstated_order_raises(known):
+    s4 = [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))]
+    with pytest.raises(InternalCheckError, match=f"not the known order {known}"):
+        close_group(s4, known_order=known)
+    assert close_group(s4, known_order=24).order == 24
+
+
+def test_fixed_points_match_the_elements(corpus_structure):
+    G = automorphism_group(corpus_structure)
+    for k in range(min(3, G.degree) + 1):
+        S = stabilizer_pointwise(G, range(k))
+        expected = frozenset(x for x in range(S.degree)
+                             if all(g(x) == x for g in S.elements()))
+        assert S.fixed_points() == expected
+        assert S.fixed_points() is S.fixed_points()
 
 
 # -- orbits and stabilizers ----------------------------------------------------------
