@@ -607,8 +607,9 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     stays inside the definably closed C), so the intermediate sets are the
     closure system generated by the distinct fixed-point masks, from C down.
     Each fixed set is still checked to be definably closed, and a failing
-    subgroup's closure group is built by `fix_of_set` for its rendering,
-    once per distinct fixed set.
+    subgroup's closure group comes from `fix_of_set` for its rendering; the
+    relative group keeps its pointwise stabilizers, so it is closed once per
+    distinct fixed set.
     """
     A0 = M.check_subset(A, "base set")
     C0 = M.check_subset(C, "top set")
@@ -634,7 +635,6 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
 
     pairs = []
     failures = []
-    closures: dict[int, PermGroup] = {}  # failing subgroups' Fix(Fix(H)), by Fix(H)
     for mask, gens in lattice:
         gen_strings = tuple(str(g) for g in table.perms(gens))
         fixed_mask = table.fixed(mask)
@@ -642,9 +642,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         _require_closed_in(M, C, fixed)
         pairs.append((gen_strings, M.render_set(fixed)))
         if table.pointwise(fixed_mask) != mask:
-            closure = closures.get(fixed_mask)
-            if closure is None:
-                closure = closures[fixed_mask] = fix_of_set(M, C, A, fixed)
+            closure = fix_of_set(M, C, A, fixed)
             failures.append(DualityFailure(
                 kind="subgroup",
                 subject=_render_group(gen_strings),

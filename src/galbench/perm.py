@@ -25,6 +25,13 @@ subgroup mask's size, the automorphism search's orbit product), and a
 finished chain whose order differs from it raises `InternalCheckError`.
 
 Groups are immutable once closed; membership tests and queries are pure.
+Each group fills three slots on first use and keeps them: its element table,
+its fixed-point set, and its pointwise stabilizers, keyed on the points in
+first-occurrence order because the chain depends on the order of the base
+prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
+the stabilizer memo grows with the distinct tuples G is asked about.
+`all_subgroups` is a thin wrapper over the element table's lattice masks,
+closing one group per mask; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -162,7 +169,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
-                 "_table", "_fixed")
+                 "_table", "_fixed", "_stabilizers")
 
     def __init__(self, degree, generators, base, levels, trans, order):
         self.degree = degree
@@ -173,6 +180,7 @@ class PermGroup:
         self.order = order
         self._table = None
         self._fixed = None
+        self._stabilizers: dict[tuple[int, ...], PermGroup] | None = None
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -393,7 +401,10 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
     """The subgroup of G fixing every entry of the tuple.
 
     One closure with the entries as base prefix, told G's order; the
-    stabilizer is the chain from the first level after the prefix on.
+    stabilizer is the chain from the first level after the prefix on.  The
+    result is kept in G, keyed on the entries in first-occurrence order
+    (the chain depends on the prefix order), so a repeated call returns the
+    same group.
     """
     points = []
     for e in t:
@@ -401,16 +412,23 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
             raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
         if e not in points:
             points.append(e)
-    chain = close_group(G.generators, degree=G.degree, base_prefix=points,
-                        known_order=G.order)
-    k = len(points)
-    gens: list[Perm] = []
-    for g in chain.level_generators(k):
-        if g not in gens:
-            gens.append(g)
-    trans = chain._trans[k:]
-    return PermGroup(G.degree, tuple(gens), chain.base[k:], chain._levels[k:],
-                     trans, prod(map(len, trans)))
+    key = tuple(points)
+    memo = G._stabilizers
+    if memo is None:
+        memo = G._stabilizers = {}
+    got = memo.get(key)
+    if got is None:
+        chain = close_group(G.generators, degree=G.degree, base_prefix=key,
+                            known_order=G.order)
+        k = len(key)
+        gens: list[Perm] = []
+        for g in chain.level_generators(k):
+            if g not in gens:
+                gens.append(g)
+        trans = chain._trans[k:]
+        got = memo[key] = PermGroup(G.degree, tuple(gens), chain.base[k:],
+                                    chain._levels[k:], trans, prod(map(len, trans)))
+    return got
 
 
 def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
@@ -615,9 +633,10 @@ def _is_prime_power(n: int) -> bool:
 def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
     """Every subgroup of G exactly once, sorted by (order, element list).
 
-    The lattice is `ElementTable.subgroups` on G's table, so the i-th group
-    returned is the i-th mask there; each is closed on its minimal
-    generators, told its order (the mask's size).
+    A thin public wrapper: the lattice is `ElementTable.subgroups` on G's
+    table, so the i-th group returned is the i-th mask there; each is closed
+    on its minimal generators, told its order (the mask's size).  The package
+    itself works on the masks.
     """
     if G.order > cap:
         raise CapError(f"group order {G.order} exceeds subgroup enumeration cap {cap}")

@@ -6,7 +6,8 @@ all bijections, group orders from naive closure, and formula evaluation from a
 witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
-searches as loops over element lists) are kept here as references.
+searches as loops over element lists, the antitone law on closed subgroups)
+are kept here as references.
 """
 
 from __future__ import annotations
@@ -204,6 +205,32 @@ def two_close_stabilizer(G, points):
     points = list(dict.fromkeys(points))
     chain = close_group(G.generators, degree=G.degree, base_prefix=points)
     return close_group(chain.level_generators(len(points)), degree=G.degree)
+
+
+# -- the antitone law on closed subgroups --------------------------------------------
+
+
+def slow_antitone_law(M, C, A, G_rel, B1, B2) -> list[str]:
+    """`suite._antitone_law` with one closed `PermGroup` per subgroup
+    (`all_subgroups`), Fix(H) by `fix_of_subgroup`, containment by
+    `is_subgroup_of`, and a `fix_of_set` per subgroup."""
+    out = []
+    subs = all_subgroups(G_rel, cap=512) if G_rel.order <= 512 else [G_rel]
+    fixes = [fix_of_subgroup(M, C, H1) for H1 in subs]
+    for H1, f1 in zip(subs, fixes):
+        for H2, f2 in zip(subs, fixes):
+            if H1.is_subgroup_of(H2) and not f2 <= f1:
+                out.append("Fix not antitone on subgroups")
+    g1 = fix_of_set(M, C, A, B1)
+    g2 = fix_of_set(M, C, A, B2)
+    if not g2.is_subgroup_of(g1):
+        out.append("Fix not antitone on sets")
+    if not B1 <= fix_of_subgroup(M, C, g1):
+        out.append("set not inside its double Fix")
+    for H1, f1 in zip(subs, fixes):
+        if not H1.is_subgroup_of(fix_of_set(M, C, A, f1)):
+            out.append("subgroup not inside its double Fix")
+    return out
 
 
 # -- the duality check and code searches over element lists -------------------------

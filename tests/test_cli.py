@@ -237,3 +237,25 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     code, text = run(["aut", "corpus:EX_RS"])
     assert code == 3 and text == ""
     assert capsys.readouterr().err == "internal error: chain order mismatch\n"
+
+
+def test_verify_checks_the_subgroup_cap_before_the_law_suite(tmp_path, monkeypatch,
+                                                             capsys):
+    """Four disjoint directed 4-cycles: Aut has order 4^4 * 4! = 6144, past
+    the duality check's subgroup cap, so verify exits 2 without entering the
+    randomized suite."""
+    import galbench.suite
+
+    def entered(*args, **kwargs):
+        raise AssertionError("the randomized law suite ran")
+
+    monkeypatch.setattr(galbench.suite, "run_law_suite", entered)
+    arcs = ", ".join(f"(v{4 * k + i},v{4 * k + (i + 1) % 4})"
+                     for k in range(4) for i in range(4))
+    path = tmp_path / "c4x4.txt"
+    path.write_text("structure C4x4 {\n  universe = { "
+                    + ", ".join(f"v{i}" for i in range(16))
+                    + f" }}\n  rel E/2 = {{ {arcs} }}\n}}\n", encoding="utf-8")
+    code, text = run(["verify", str(path), "--trials", "20"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: relative group order 6144 exceeds cap 2000\n"

@@ -5,16 +5,20 @@ from itertools import product
 
 import pytest
 
+import galbench.suite as suite
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction)
 from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
 from galbench.galois import (codes_finite_sets, find_code, multisymmetric_code,
                              verify_galois_correspondence)
 from galbench.perm import (Perm, all_subgroups, close_group, orbit,
-                           restrict_to_invariant_set, stabilizer_pointwise)
+                           restrict_to_invariant_set, stabilizer_pointwise,
+                           trivial_group)
 from galbench.structure import load_structure
+from galbench.suite import run_law_suite
 
-from oracles import (cyclic_join_subgroups, slow_code_is_verified,
+import oracles
+from oracles import (cyclic_join_subgroups, slow_antitone_law, slow_code_is_verified,
                      slow_codes_finite_sets, slow_find_code,
                      slow_galois_correspondence, two_close_stabilizer)
 
@@ -318,6 +322,43 @@ def test_duality_still_caps_the_base_group(ex_rs):
                                              element_cap=7),
         lambda: slow_galois_correspondence(M, frozenset(), range(M.size),
                                            element_cap=7))
+
+
+# -- the antitone law against its closed-subgroup version ---------------------------
+
+
+def assert_antitone_matches_slow_path(M, monkeypatch):
+    """The whole suite's LawResults, with the mask-based antitone law and with
+    the one that closes a group per subgroup."""
+    fast = run_law_suite(M, trials=10, seed=5).laws
+    with monkeypatch.context() as patch:
+        patch.setattr(suite, "_antitone_law", slow_antitone_law)
+        slow = run_law_suite(M, trials=10, seed=5).laws
+    assert fast == slow
+
+
+def test_antitone_law_matches_slow_path_on_corpus(corpus_structure, monkeypatch):
+    assert_antitone_matches_slow_path(corpus_structure, monkeypatch)
+
+
+def test_antitone_law_matches_slow_path_on_generated(generated_structure, monkeypatch):
+    assert_antitone_matches_slow_path(generated_structure, monkeypatch)
+
+
+def test_antitone_law_reports_a_wrong_double_fix(ex_rs, monkeypatch):
+    """A `fix_of_set` that returns the trivial group breaks Fix(Fix(H)) >= H
+    for every nontrivial H; the law must say so, as its slow version does."""
+    def trivial_fix(M, C, A, B):
+        return trivial_group(len(C))
+
+    monkeypatch.setattr(suite, "fix_of_set", trivial_fix)
+    laws = run_law_suite(ex_rs, trials=10, seed=5).laws
+    antitone = next(law for law in laws if law.name == "antitone_galois_connection")
+    assert any(v.endswith("subgroup not inside its double Fix")
+               for v in antitone.violations)
+    monkeypatch.setattr(oracles, "fix_of_set", trivial_fix)
+    monkeypatch.setattr(suite, "_antitone_law", slow_antitone_law)
+    assert run_law_suite(ex_rs, trials=10, seed=5).laws == laws
 
 
 def random_tuple_sets(M, rng, count):

@@ -24,6 +24,12 @@ CASES = [
     ("codes-report-GF16", 0, ["codes-report", "corpus:GF16"]),
     ("verify-C5-json", 0, ["verify", "corpus:C5", "--trials", "10", "--format", "json"]),
     ("verify-EX_RS", 0, ["verify", "corpus:EX_RS", "--trials", "10"]),
+    ("verify-GF4-json", 0, ["verify", "corpus:GF4", "--trials", "20", "--seed", "3",
+                            "--format", "json"]),
+    ("verify-RIGID3-json", 0, ["verify", "corpus:RIGID3", "--trials", "20", "--seed", "3",
+                               "--format", "json"]),
+    ("verify-GF16-json", 0, ["verify", "corpus:GF16", "--trials", "20", "--seed", "3",
+                             "--format", "json"]),
     ("aut-EX_RS", 0, ["aut", "corpus:EX_RS"]),
     ("aut-GF16-fixing", 0, ["aut", "corpus:GF16", "--fixing", "0,1"]),
     ("dcl-EX_RS", 0, ["dcl", "corpus:EX_RS", "--set", "a"]),

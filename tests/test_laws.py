@@ -3,16 +3,20 @@ and the antitone connection, driven by hypothesis on the smaller corpus
 structures, plus seeded smoke runs of the full randomized suite.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galbench.aut import automorphism_group_fixing, relative_aut
 from galbench.corpus import corpus_names, load_corpus
-from galbench.galois import (acl, dcl, degree_of_extension, extension_aut_order,
-                             find_generator, fix_of_set, fix_of_subgroup,
-                             is_normal_extension, orbit_over)
+from galbench.galois import (acl, codes_finite_sets, dcl, degree_of_extension,
+                             extension_aut_order, find_generator, fix_of_set,
+                             fix_of_subgroup, is_normal_extension, orbit_over,
+                             verify_galois_correspondence)
 from galbench.perm import all_subgroups, is_normal_subgroup, orbit
-from galbench.suite import run_full_verification, run_law_suite
+from galbench.structure import load_structure
+from galbench.suite import run_duality_check, run_full_verification, run_law_suite
 
 SMALL = ("EX_RS", "RIGID3", "C5", "GF4")
 
@@ -151,3 +155,27 @@ def test_full_verification_smoke(name):
     report = run_full_verification(load_corpus(name), trials=15, seed=11)
     assert report.verdict, [
         (law.name, law.violations[:3]) for law in report.laws if not law.passed]
+
+
+def test_duality_law_reads_the_hypothesis_on_sets_of_tuples():
+    """EX_RS with one code element per 2-subset of {a,b,c,d} and a membership
+    relation: every set of at most two elements has a code, but sets of pairs
+    such as {(a,e),(b,f)} do not, and the duality fails over the whole
+    universe.  The law's hypothesis is coding of the sets the duality
+    consumes, so it reports no violation."""
+    pairs = [x + y for x, y in combinations("abcd", 2)]
+    members = ", ".join(f"({p[0]},{p}), ({p[1]},{p})" for p in pairs)
+    M = load_structure(
+        "structure EX_RS_CODES {\n"
+        f"  universe = {{ a, b, c, d, e, f, {', '.join(pairs)} }}\n"
+        "  rel R/2 = { (a,b), (b,a), (c,d), (d,c) }\n"
+        "  rel S/2 = { (a,c), (c,a), (b,d), (d,b) }\n"
+        f"  rel In/2 = {{ {members} }}\n"
+        "}\n")
+    assert M.size == 12
+    assert codes_finite_sets(M, max_set_size=2).verdict
+    report = verify_galois_correspondence(M, frozenset(), frozenset(range(M.size)))
+    assert not report.verdict and report.coding_ok is False
+    law = run_duality_check(M)
+    assert law.name == "duality_iff_coding" and law.trials == 1
+    assert law.violations == []

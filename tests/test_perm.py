@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +266,52 @@ def test_stabilizer_in_aut_ex_rs(ex_rs):
     assert S.order == 2
     brute = [g for g in G.elements() if g(ex_rs.resolve("a")) == ex_rs.resolve("a")]
     assert len(brute) == 2
+
+
+def test_repeated_stabilizer_is_the_same_group(ex_rs):
+    G = automorphism_group(ex_rs)
+    S = stabilizer_pointwise(G, (1, 0))
+    assert stabilizer_pointwise(G, [1, 0]) is S
+    assert stabilizer_pointwise(G, (1, 1, 0)) is S
+
+
+def assert_kept_stabilizer_is_fresh(G, prefix):
+    """The kept chain for `prefix` is the one a fresh closure with its points
+    as base prefix builds."""
+    points = tuple(dict.fromkeys(prefix))
+    k = len(points)
+    S = stabilizer_pointwise(G, prefix)
+    assert stabilizer_pointwise(G, points) is S
+    plain = close_group(G.generators, degree=G.degree, base_prefix=points)
+    assert S.base == plain.base[k:]
+    assert S.generators == tuple(dict.fromkeys(plain.level_generators(k)))
+    assert S._levels == plain._levels[k:]
+    assert [tuple(t.items()) for t in S._trans] == [
+        tuple(t.items()) for t in plain._trans[k:]]
+    assert S.order == plain.order // prod(map(len, plain._trans[:k]))
+
+
+def test_kept_stabilizers_match_fresh_closures(corpus_structure):
+    G = automorphism_group(corpus_structure)
+    n = G.degree
+    head = tuple(range(min(3, n)))
+    for prefix in [(), head, head[::-1], tuple(range(n - 1, -1, -2)) + (n - 1,),
+                   tuple(range(n))]:
+        assert_kept_stabilizer_is_fresh(G, prefix)
+    assert stabilizer_pointwise(G, head).equals(stabilizer_pointwise(G, head[::-1]))
+
+
+def test_kept_stabilizers_match_fresh_closures_on_random_groups():
+    """The chain depends on the order of the points, so each order is kept
+    apart."""
+    rng = random.Random(29)
+    for _ in range(150):
+        degree = rng.randint(2, 7)
+        G = close_group([Perm(rng.sample(range(degree), degree))
+                         for _ in range(rng.randint(1, 3))], degree=degree)
+        points = rng.sample(range(degree), rng.randint(2, min(4, degree)))
+        for prefix in (points, points[::-1], points + points[:1]):
+            assert_kept_stabilizer_is_fresh(G, prefix)
 
 
 def test_orbit_stabilizer_law_random():
