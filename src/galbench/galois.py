@@ -38,6 +38,31 @@ from .structure import Structure
 #: Default bound for generator and code tuple searches.
 DEFAULT_MAX_LEN = 3
 
+#: Most candidate tuples one generator, splitting or code search tries before
+#: it stops with `CapError`.  With the default bound a search over a
+#: 16-element universe tries at most 1 + 16 + 256 + 4096.
+TUPLE_SEARCH_CAP = 100_000
+
+
+def _candidate_tuples(pool: Sequence[int], shortest: int, longest: int):
+    """Tuples over `pool` by ascending length, then in lexicographic order.
+
+    Each search's test depends only on the set of a candidate's entries, and
+    a tuple longer than the pool repeats an entry, so a shorter tuple with the
+    same entries came earlier: lengths past ``len(pool)`` are skipped without
+    changing any answer.  Candidates are counted as the search tries them, so
+    a search that succeeds early costs what it did before; past
+    `TUPLE_SEARCH_CAP` it raises `CapError`.
+    """
+    tried = 0
+    for length in range(shortest, min(longest, len(pool)) + 1):
+        for cand in product(pool, repeat=length):
+            tried += 1
+            if tried > TUPLE_SEARCH_CAP:
+                raise CapError(f"tuple search passed {TUPLE_SEARCH_CAP} candidates "
+                               f"at length {length} (max_len {longest})")
+            yield cand
+
 
 # -- closures ---------------------------------------------------------------------
 
@@ -131,11 +156,9 @@ def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
         raise StructureError("base set must be contained in the extension")
     if B <= dcl(M, A):
         return ()
-    pool = sorted(B)
-    for length in range(1, max_len + 1):
-        for cand in product(pool, repeat=length):
-            if B <= dcl(M, A | frozenset(cand)):
-                return cand
+    for cand in _candidate_tuples(sorted(B), 1, max_len):
+        if B <= dcl(M, A | frozenset(cand)):
+            return cand
     return None
 
 
@@ -184,15 +207,13 @@ def is_splitting_extension(M: Structure, A: Iterable[int], B: Iterable[int],
     if not A <= B:
         raise StructureError("base set must be contained in the extension")
     G = automorphism_group_fixing(M, A)
-    pool = sorted(B)
-    for length in range(0, max_len + 1):
-        for cand in product(pool, repeat=length):
-            orb = orbit(G, cand)
-            entries = frozenset(e for t in orb for e in t)
-            if not entries <= B:
-                continue
-            if B <= dcl(M, A | entries):
-                return True, cand
+    for cand in _candidate_tuples(sorted(B), 0, max_len):
+        orb = orbit(G, cand)
+        entries = frozenset(e for t in orb for e in t)
+        if not entries <= B:
+            continue
+        if B <= dcl(M, A | entries):
+            return True, cand
     return False, None
 
 
@@ -299,14 +320,13 @@ def find_code(M: Structure, F: Iterable[Sequence[int]],
     target = setwise.bit_count()
     candidates = list(_bits(table.fixed(setwise)))
     orders: dict[int, int] = {}
-    for length in range(0, max_len + 1):
-        for cand in product(candidates, repeat=length):
-            points = _mask(cand)
-            order = orders.get(points)
-            if order is None:
-                order = orders[points] = table.pointwise_order(points)
-            if order == target:
-                return cand
+    for cand in _candidate_tuples(candidates, 0, max_len):
+        points = _mask(cand)
+        order = orders.get(points)
+        if order is None:
+            order = orders[points] = table.pointwise_order(points)
+        if order == target:
+            return cand
     return None
 
 

@@ -188,71 +188,44 @@ def eval_relation(M: Structure, name: str, t: tuple[int, ...]) -> bool:
 # -- text format -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[{}()=,/]")
+# A character that is neither whitespace nor part of a token.  `re`'s \s
+# matches exactly the code points for which str.isspace() is true.
+_STRAY_RE = re.compile(r"[^A-Za-z0-9_{}()=,/\s]")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _tokenize(lines: list[str]) -> tuple[list[str], list[int]]:
+    """The tokens of the comment-stripped lines, and each token's line number.
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    Every line is scanned before parsing begins, so an unexpected character
+    anywhere in the text is reported ahead of an earlier syntax error.
+    """
+    toks: list[str] = []
+    where: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            if body[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(body, pos)
-            if not m:
-                raise DslError(f"unexpected character {body[pos]!r}", lineno, pos + 1)
-            toks.append(_Tok(m.group(), lineno, pos + 1))
-            pos = m.end()
-    return toks
+        stray = _STRAY_RE.search(body)
+        if stray:
+            raise DslError(f"unexpected character {stray.group()!r}", lineno, stray.start() + 1)
+        found = _TOKEN_RE.findall(body)
+        toks += found
+        where += [lineno] * len(found)
+    return toks, where
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
+def _position(lines: list[str], toks: list[str], where: list[int], i: int) -> tuple[int, int]:
+    """Line and column of token ``i``; past the last token, the column after it.
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
-
-    def here(self) -> tuple[int, int]:
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            return t.line, t.col
-        if self.toks:
-            t = self.toks[-1]
-            return t.line, t.col + len(t.text)
-        return 1, 1
-
-    def fail(self, message: str):
-        line, col = self.here()
-        raise DslError(message, line, col)
-
-    def take(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            self.fail("unexpected end of input" + (f", expected {expected!r}" if expected else ""))
-        tok = self.toks[self.pos]
-        if expected is not None and tok.text != expected:
-            self.fail(f"expected {expected!r}, found {tok.text!r}")
-        self.pos += 1
-        return tok.text
-
-    def take_element(self) -> str:
-        if self.pos >= len(self.toks) or not is_element_name(self.toks[self.pos].text):
-            self.fail("expected an element name")
-        return self.take()
-
-    def take_identifier(self, what: str) -> str:
-        if self.pos >= len(self.toks) or not is_identifier(self.toks[self.pos].text):
-            self.fail(f"expected {what}")
-        return self.take()
+    Only errors need a column, so it is recomputed here by rescanning the line.
+    """
+    if i >= len(where):
+        if not where:
+            return 1, 1
+        line, col = _position(lines, toks, where, len(where) - 1)
+        return line, col + len(toks[len(where) - 1])
+    line = where[i]
+    body = lines[line - 1].split("#", 1)[0]
+    starts = [m.start() for m in _TOKEN_RE.finditer(body)]
+    return line, starts[i - where.index(line)] + 1
 
 
 def load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Structure:
@@ -261,85 +234,95 @@ def load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Struct
     Universe order follows declaration order, so all downstream canonical
     orders are reproducible from the source text alone.
     """
-    p = _Parser(_tokenize(text))
-    p.take("structure")
-    name = p.take_identifier("a structure name")
-    p.take("{")
+    lines = text.splitlines()
+    toks, where = _tokenize(lines)
+    toks.append("")  # end sentinel: equal to no keyword, punctuation or name
 
-    p.take("universe")
-    p.take("=")
-    p.take("{")
-    labels: list[str] = []
-    seen = set()
-    if p.peek() != "}":
+    def fail(message: str, i: int):
+        raise DslError(message, *_position(lines, toks, where, i))
+
+    def expect(i: int, word: str) -> int:
+        if toks[i] != word:
+            fail(f"expected {word!r}, found {toks[i]!r}" if toks[i]
+                 else f"unexpected end of input, expected {word!r}", i)
+        return i + 1
+
+    i = expect(0, "structure")
+    name = toks[i]
+    if not is_identifier(name):
+        fail("expected a structure name", i)
+    i += 1
+    for word in ("{", "universe", "=", "{"):
+        i = expect(i, word)
+
+    index: dict[str, int] = {}
+    if toks[i] != "}":
         while True:
-            line, col = p.here()
-            lab = p.take_element()
-            if lab in seen:
-                raise DslError(f"duplicate element name {lab!r}", line, col)
-            seen.add(lab)
-            labels.append(lab)
-            if p.peek() == ",":
-                p.take(",")
-                continue
-            break
-    p.take("}")
-    if not labels:
-        p.fail("universe must contain at least one element")
-    if len(labels) > max_size:
-        raise CapError(f"universe has {len(labels)} elements; cap is {max_size}")
-    index = {lab: i for i, lab in enumerate(labels)}
+            lab = toks[i]
+            if not is_element_name(lab):
+                fail("expected an element name", i)
+            if lab in index:
+                fail(f"duplicate element name {lab!r}", i)
+            index[lab] = len(index)
+            i += 1
+            if toks[i] != ",":
+                break
+            i += 1
+    i = expect(i, "}")
+    if not index:
+        fail("universe must contain at least one element", i)
+    if len(index) > max_size:
+        raise CapError(f"universe has {len(index)} elements; cap is {max_size}")
 
     rels: list[tuple[str, int]] = []
     tables: dict[str, set[tuple[int, ...]]] = {}
-    while p.peek() == "rel":
-        p.take("rel")
-        rline, rcol = p.here()
-        rel = p.take_identifier("a relation name")
+    while toks[i] == "rel":
+        rel = toks[i + 1]
+        if not is_identifier(rel):
+            fail("expected a relation name", i + 1)
         if rel in tables:
-            raise DslError(f"duplicate relation name {rel!r}", rline, rcol)
-        p.take("/")
-        aline, acol = p.here()
-        arity_tok = p.take()
-        if not arity_tok.isdigit() or int(arity_tok) < 1:
-            raise DslError(f"arity must be a positive integer, found {arity_tok!r}", aline, acol)
-        arity = int(arity_tok)
-        p.take("=")
-        p.take("{")
+            fail(f"duplicate relation name {rel!r}", i + 1)
+        i = expect(i + 2, "/")
+        tok = toks[i]
+        if not tok:
+            fail("unexpected end of input", i)
+        try:
+            arity = int(tok) if tok.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            fail(f"arity of {len(tok)} digits is too large", i)
+        if arity < 1:
+            fail(f"arity must be a positive integer, found {tok!r}", i)
+        i = expect(expect(i + 1, "="), "{")
         rows: set[tuple[int, ...]] = set()
-        while p.peek() == "(":
-            p.take("(")
+        while toks[i] == "(":
+            i += 1
             entry: list[int] = []
             while True:
-                eline, ecol = p.here()
-                lab = p.take_element()
-                if lab not in index:
-                    raise DslError(f"unknown element name {lab!r}", eline, ecol)
-                entry.append(index[lab])
-                if p.peek() == ",":
-                    p.take(",")
-                    continue
-                break
-            tline, tcol = p.here()
-            p.take(")")
+                e = index.get(toks[i])
+                if e is None:
+                    fail(f"unknown element name {toks[i]!r}" if is_element_name(toks[i])
+                         else "expected an element name", i)
+                entry.append(e)
+                i += 1
+                if toks[i] != ",":
+                    break
+                i += 1
+            expect(i, ")")
             if len(entry) != arity:
-                raise DslError(
-                    f"tuple of length {len(entry)} in relation {rel!r} of arity {arity}",
-                    tline, tcol)
+                fail(f"tuple of length {len(entry)} in relation {rel!r} of arity {arity}", i)
             rows.add(tuple(entry))
-            if p.peek() == ",":
-                p.take(",")
-                continue
-            break
-        p.take("}")
+            i += 1
+            if toks[i] != ",":
+                break
+            i += 1
+        i = expect(i, "}")
         rels.append((rel, arity))
         tables[rel] = rows
 
-    p.take("}")
-    if p.peek() is not None:
-        p.fail(f"trailing input {p.peek()!r}")
-
-    return Structure(name, Signature(tuple(rels)), labels, tables)
+    i = expect(i, "}")
+    if toks[i]:
+        fail(f"trailing input {toks[i]!r}", i)
+    return Structure(name, Signature(tuple(rels)), tuple(index), tables)
 
 
 def dump_structure(M: Structure) -> str:

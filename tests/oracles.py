@@ -6,19 +6,21 @@ all bijections, group orders from naive closure, and formula evaluation from a
 witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
-searches as loops over element lists, the antitone law on closed subgroups)
-are kept here as references.
+searches as loops over element lists, the antitone law on closed subgroups,
+the structure parser built on token objects) are kept here as references.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_restriction)
-from galbench.errors import (CapError, HypothesisError, InternalCheckError,
-                             StructureError)
+from galbench.errors import (CapError, DslError, HypothesisError,
+                             InternalCheckError, StructureError)
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
@@ -26,6 +28,8 @@ from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
                              fix_of_set, fix_of_subgroup, is_normal_extension)
 from galbench.perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, Perm,
                            all_subgroups, close_group)
+from galbench.structure import (DEFAULT_UNIVERSE_CAP, Signature, Structure,
+                                is_element_name, is_identifier)
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
 
@@ -458,3 +462,162 @@ def random_formula(rng: random.Random, M, depth: int, free_vars: tuple[str, ...]
         return ExactCount(rng.randint(0, M.size), var, body)
 
     return go(depth, free_vars)
+
+
+# -- structure text oracle -----------------------------------------------------------
+
+
+_SLOW_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[{}()=,/]")
+
+
+@dataclass(frozen=True)
+class _SlowTok:
+    text: str
+    line: int
+    col: int
+
+
+def _slow_tokenize(text: str) -> list[_SlowTok]:
+    toks = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        pos = 0
+        while pos < len(body):
+            if body[pos].isspace():
+                pos += 1
+                continue
+            m = _SLOW_TOKEN_RE.match(body, pos)
+            if not m:
+                raise DslError(f"unexpected character {body[pos]!r}", lineno, pos + 1)
+            toks.append(_SlowTok(m.group(), lineno, pos + 1))
+            pos = m.end()
+    return toks
+
+
+class _SlowParser:
+    def __init__(self, toks: list[_SlowTok]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+
+    def here(self) -> tuple[int, int]:
+        if self.pos < len(self.toks):
+            t = self.toks[self.pos]
+            return t.line, t.col
+        if self.toks:
+            t = self.toks[-1]
+            return t.line, t.col + len(t.text)
+        return 1, 1
+
+    def fail(self, message: str):
+        line, col = self.here()
+        raise DslError(message, line, col)
+
+    def take(self, expected: str | None = None) -> str:
+        if self.pos >= len(self.toks):
+            self.fail("unexpected end of input" + (f", expected {expected!r}" if expected else ""))
+        tok = self.toks[self.pos]
+        if expected is not None and tok.text != expected:
+            self.fail(f"expected {expected!r}, found {tok.text!r}")
+        self.pos += 1
+        return tok.text
+
+    def take_element(self) -> str:
+        if self.pos >= len(self.toks) or not is_element_name(self.toks[self.pos].text):
+            self.fail("expected an element name")
+        return self.take()
+
+    def take_identifier(self, what: str) -> str:
+        if self.pos >= len(self.toks) or not is_identifier(self.toks[self.pos].text):
+            self.fail(f"expected {what}")
+        return self.take()
+
+
+def slow_load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Structure:
+    """The token-object parser that `load_structure` replaced.
+
+    It gives the same `Structure`, or the same exception with the same
+    message, line and column, on every input but one: an arity of more digits
+    than int() converts raised ValueError here and is a DslError now.
+    """
+    p = _SlowParser(_slow_tokenize(text))
+    p.take("structure")
+    name = p.take_identifier("a structure name")
+    p.take("{")
+
+    p.take("universe")
+    p.take("=")
+    p.take("{")
+    labels: list[str] = []
+    seen = set()
+    if p.peek() != "}":
+        while True:
+            line, col = p.here()
+            lab = p.take_element()
+            if lab in seen:
+                raise DslError(f"duplicate element name {lab!r}", line, col)
+            seen.add(lab)
+            labels.append(lab)
+            if p.peek() == ",":
+                p.take(",")
+                continue
+            break
+    p.take("}")
+    if not labels:
+        p.fail("universe must contain at least one element")
+    if len(labels) > max_size:
+        raise CapError(f"universe has {len(labels)} elements; cap is {max_size}")
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    rels: list[tuple[str, int]] = []
+    tables: dict[str, set[tuple[int, ...]]] = {}
+    while p.peek() == "rel":
+        p.take("rel")
+        rline, rcol = p.here()
+        rel = p.take_identifier("a relation name")
+        if rel in tables:
+            raise DslError(f"duplicate relation name {rel!r}", rline, rcol)
+        p.take("/")
+        aline, acol = p.here()
+        arity_tok = p.take()
+        if not arity_tok.isdigit() or int(arity_tok) < 1:
+            raise DslError(f"arity must be a positive integer, found {arity_tok!r}", aline, acol)
+        arity = int(arity_tok)
+        p.take("=")
+        p.take("{")
+        rows: set[tuple[int, ...]] = set()
+        while p.peek() == "(":
+            p.take("(")
+            entry: list[int] = []
+            while True:
+                eline, ecol = p.here()
+                lab = p.take_element()
+                if lab not in index:
+                    raise DslError(f"unknown element name {lab!r}", eline, ecol)
+                entry.append(index[lab])
+                if p.peek() == ",":
+                    p.take(",")
+                    continue
+                break
+            tline, tcol = p.here()
+            p.take(")")
+            if len(entry) != arity:
+                raise DslError(
+                    f"tuple of length {len(entry)} in relation {rel!r} of arity {arity}",
+                    tline, tcol)
+            rows.add(tuple(entry))
+            if p.peek() == ",":
+                p.take(",")
+                continue
+            break
+        p.take("}")
+        rels.append((rel, arity))
+        tables[rel] = rows
+
+    p.take("}")
+    if p.peek() is not None:
+        p.fail(f"trailing input {p.peek()!r}")
+
+    return Structure(name, Signature(tuple(rels)), labels, tables)

@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from galbench.cli import run_command
+from galbench.corpus import CORPUS
 
 
 def run(argv):
@@ -259,3 +263,101 @@ def test_verify_checks_the_subgroup_cap_before_the_law_suite(tmp_path, monkeypat
     code, text = run(["verify", str(path), "--trials", "20"])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: relative group order 6144 exceeds cap 2000\n"
+
+
+def test_code_search_without_candidates_answers_at_any_max_len():
+    # The setwise stabilizer of {(a,e),(b,f)} fixes no element, so the empty
+    # tuple is the only candidate at every length and "none" is exact.
+    start = time.perf_counter()
+    code, text = run(["code", "corpus:EX_RS", "--tuples", "a,e;b,f", "--max-len", "1000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and text == "none (no code of length <= 1000000)\n"
+
+
+def test_tuple_search_past_its_work_cap_exits_2(tmp_path, capsys):
+    """EX_RS plus a rigid directed path p0..p6: the setwise stabilizer of
+    {(a,e),(b,f)} fixes the seven path points, none of which codes the set,
+    so the search would run through 7^7 candidates."""
+    path = tmp_path / "ex_rs_path.txt"
+    path.write_text("structure EX_RS_P {\n"
+                    "  universe = { a, b, c, d, e, f, p0, p1, p2, p3, p4, p5, p6 }\n"
+                    "  rel R/2 = { (a,b), (b,a), (c,d), (d,c) }\n"
+                    "  rel S/2 = { (a,c), (c,a), (b,d), (d,b) }\n"
+                    "  rel P/2 = { (p0,p1), (p1,p2), (p2,p3), (p3,p4), (p4,p5), (p5,p6) }\n"
+                    "}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, text = run(["code", str(path), "--tuples", "a,e;b,f", "--max-len", "1000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: tuple search passed 100000 candidates at length 6 (max_len 1000000)\n")
+    code, text = run(["code", str(path), "--tuples", "a,e;b,f"])
+    assert code == 0 and text == "none (no code of length <= 3)\n"
+
+
+# -- run_command on malformed structure files -----------------------------------------
+
+_FUZZ_COMMANDS = [
+    ["parse", "FILE", "E x. R(x, a)"],
+    ["eval", "FILE", "A x. x = x"],
+    ["aut", "FILE"],
+    ["aut", "FILE", "--fixing", "a"],
+    ["dcl", "FILE", "--set", "a"],
+    ["acl", "FILE", "--set", ""],
+    ["orbit", "FILE", "--tuple", "a,b", "--base", ""],
+    ["degree", "FILE", "--top", "ALL"],
+    ["irr-check", "FILE", "x = a", "--tuple", "a"],
+    ["normal", "FILE", "--base", "a", "--top", "ALL"],
+    ["splitting", "FILE", "--top", "ALL"],
+    ["generator", "FILE", "--top", "ALL"],
+    ["code", "FILE", "--tuples", "a;b"],
+    ["codes-report", "FILE"],
+    ["msym-code", "FILE", "--tuples", "w;w2"],
+    ["galois", "FILE", "--base", "", "--top", "ALL"],
+    ["tower", "FILE", "--sets", ";a;ALL"],
+    ["verify", "FILE", "--trials", "2"],
+]
+
+_FRAGMENTS = [b"#", b" ", b"\n", b"\x0b", "\x85".encode(), "\u2028".encode(),
+              "\u3000".encode(), "\xe9".encode(), b"\xff", b"\xc3", b"\xe2\x80",
+              b"{", b"}", b"(", b")", b",", b"=", b"/", b"a", b"0", b"rel", b"(a,b)",
+              b", g", b" rel T/1 = { (a) }"]
+
+
+@st.composite
+def _structure_bytes(draw):
+    """A small corpus text under a few random edits, which may leave invalid
+    UTF-8 behind."""
+    name = draw(st.sampled_from(("EX_RS", "RIGID3", "C5", "GF4")))
+    data = bytearray(CORPUS[name].source.encode("utf-8"))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("insert", "insert", "delete", "truncate")))
+        if kind == "insert":
+            data[i:i] = draw(st.sampled_from(_FRAGMENTS) | st.binary(min_size=1, max_size=3))
+        elif kind == "delete":
+            del data[i:i + draw(st.integers(1, 6))]
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "structure.txt"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_structure_bytes(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_run_command_is_total_on_edited_structure_files(fuzz_file, data, command):
+    fuzz_file.write_bytes(data)
+    argv = [str(fuzz_file) if arg == "FILE" else arg for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_command(argv, out=out)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    if code == 3:
+        assert err.getvalue().startswith("internal error: ")

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from galbench.aut import automorphism_group, relative_aut
-from galbench.errors import (EvalError, FieldEncodingError, HypothesisError,
-                             InconclusiveError, StructureError)
+from galbench.errors import (CapError, EvalError, FieldEncodingError,
+                             HypothesisError, InconclusiveError, StructureError)
 from galbench.formula import parse_formula
 from galbench.galois import (FieldOps, acl, codes_finite_sets, dcl,
                              degree_of_extension, extension_aut_order,
@@ -184,6 +184,26 @@ def test_degree_inconclusive_when_no_generator():
 
 
 # -- normal and splitting extensions ------------------------------------------------------
+
+
+def test_tuple_searches_count_candidates_as_they_run(monkeypatch):
+    """Seven unrelated points: the first generator over the empty base is
+    (p0, ..., p5), candidate 7 + 7^2 + ... + 7^5 + 3268 = 22875 of the search;
+    the first splitting witness is (p0,), candidate 2."""
+    import galbench.galois as galois
+    M = load_structure("structure P7 { universe = { p0, p1, p2, p3, p4, p5, p6 } }")
+    everything = frozenset(M.universe)
+    assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 22875)
+    assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 22874)
+    with pytest.raises(CapError, match="passed 22874 candidates at length 6"):
+        find_generator(M, frozenset(), everything, max_len=7)
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 2)
+    assert is_splitting_extension(M, frozenset(), everything, max_len=100) == (True, (0,))
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 1)
+    with pytest.raises(CapError, match="passed 1 candidates at length 1"):
+        is_splitting_extension(M, frozenset(), everything, max_len=100)
 
 
 def test_normal_extension_examples(ex_rs):

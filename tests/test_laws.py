@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from galbench.aut import automorphism_group_fixing, relative_aut
 from galbench.corpus import corpus_names, load_corpus
+from galbench.errors import InconclusiveError
 from galbench.galois import (acl, codes_finite_sets, dcl, degree_of_extension,
                              extension_aut_order, find_generator, fix_of_set,
                              fix_of_subgroup, is_normal_extension, orbit_over,
@@ -179,3 +180,29 @@ def test_duality_law_reads_the_hypothesis_on_sets_of_tuples():
     law = run_duality_check(M)
     assert law.name == "duality_iff_coding" and law.trials == 1
     assert law.violations == []
+
+
+def test_law_suite_computes_each_degree_and_order_once_per_trial(monkeypatch):
+    import galbench.suite as suite
+
+    calls = {"degree": 0, "order": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(suite, "degree_of_extension", counted("degree", degree_of_extension))
+    monkeypatch.setattr(suite, "extension_aut_order", counted("order", extension_aut_order))
+    report = run_law_suite(load_corpus("EX_RS"), trials=12, seed=5)
+    assert all(law.passed for law in report.laws)
+    assert calls == {"degree": 3 * 12, "order": 12}
+
+
+def test_law_suite_raises_a_failed_search_again_where_it_used_to():
+    # With max_len 0 no generator is found for a proper extension: the tower
+    # law records the error, and the normal-degree law raises it, as the
+    # repeated computation did.
+    with pytest.raises(InconclusiveError, match="degree undetermined"):
+        run_law_suite(load_corpus("EX_RS"), trials=5, seed=1, max_len=0)

@@ -1,10 +1,14 @@
+import random
+import re
+import sys
+
 import pytest
 
 from galbench.corpus import CORPUS, corpus_names, load_corpus
 from galbench.errors import CapError, DslError, StructureError
 from galbench.structure import dump_structure, eval_relation, load_structure
 
-from oracles import gf_field_tables
+from oracles import gf_field_tables, slow_load_structure
 
 
 def test_ex_rs_shape(ex_rs):
@@ -119,3 +123,100 @@ def test_universe_cap():
         load_structure(f"structure T {{ universe = {{ {labels} }} }}")
     assert load_structure(f"structure T {{ universe = {{ {labels} }} }}",
                           max_size=17).size == 17
+
+
+def test_arity_past_int_conversion_limit_is_a_dsl_error():
+    arity = "9" * 5000
+    with pytest.raises(DslError) as err:
+        load_structure(f"structure T {{ universe = {{ a }}\n rel R/{arity} = {{ }} }}")
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert "5000 digits" in str(err.value)
+
+
+# -- the one-pass parser against the token-object oracle -----------------------------
+
+
+def test_regex_whitespace_is_str_isspace_on_every_code_point():
+    # The loader finds stray characters with re's \s where the token-object
+    # parser skipped str.isspace() characters one at a time.
+    whitespace = re.compile(r"\s")
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if bool(whitespace.match(c)) != c.isspace()] == []
+
+# Characters and fragments the edits insert: comment starts, every kind of
+# whitespace str.splitlines() or str.isspace() knows, non-ASCII letters and
+# digits, the format's punctuation and keywords, and stray ASCII.
+_INSERTS = ["#", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+            "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "é", "ß", "Ω", "ǅ", "٣",
+            "{", "}", "(", ")", "=", ",", "/", "a", "Z", "_", "0", "7", ";", "-", "'",
+            "rel", "structure", "universe", "R/2", "(a,a)", "# x\n", " rel R/1 = { }",
+            " rel R0/1 = { }"]
+
+
+def _generated_text(rng: random.Random) -> str:
+    """A random well-formed structure text in a random layout: digit-leading
+    element names, several relations of arity 1-3, empty relations, comments."""
+    n = rng.randint(1, 7)
+    labels = rng.sample([f"e{i}" for i in range(9)] + ["0", "1", "_x", "42b"], n)
+    sp = lambda: rng.choice(["", " ", "  ", "\n", "\t", " # note\n"])
+    parts = [sp(), "structure", " ", rng.choice(["G", "T_1", "Gen"]), sp(), "{", sp(),
+             "universe", sp(), "=", sp(), "{", sp(), ("," + sp()).join(labels), sp(), "}"]
+    for r in range(rng.randint(0, 3)):
+        arity = rng.randint(1, 3)
+        rows = {tuple(rng.choice(labels) for _ in range(arity))
+                for _ in range(rng.randint(0, 6))}
+        body = ("," + sp()).join("(" + (sp() + "," + sp()).join(t) + ")" for t in rows)
+        parts += ["\n", "rel ", f"R{r}", sp(), "/", sp(), str(arity), sp(), "=", sp(),
+                  "{", sp(), body, sp(), "}"]
+    parts += [sp(), "}", sp()]
+    return "".join(parts)
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:i] + rng.choice(_INSERTS) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + rng.randint(1, 6):]
+        elif kind == 2:
+            text = text[:i] + rng.choice(_INSERTS) + text[i + 1:]
+        elif kind == 3:
+            j = rng.randint(0, len(text))
+            text = text[:i] + text[j:j + rng.randint(1, 12)] + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _outcome(load, text: str, max_size: int):
+    try:
+        return load(text, max_size=max_size)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def test_loader_matches_the_token_object_parser_on_random_edits():
+    rng = random.Random(20261018)
+    bases = [entry.source for name, entry in CORPUS.items() if name != "GF16"]
+    bases += [dump_structure(load_corpus(name)) for name in ("EX_RS", "C5", "GF4")]
+    bases += [_generated_text(rng) for _ in range(40)]
+    for text in bases:
+        assert _outcome(load_structure, text, 16) == _outcome(slow_load_structure, text, 16)
+    outcomes = set()
+    for _ in range(20_000):
+        text = _edit(rng, rng.choice(bases))
+        max_size = rng.choice((16, 3))
+        got = _outcome(load_structure, text, max_size)
+        assert got == _outcome(slow_load_structure, text, max_size), repr(text)
+        outcomes.add(got[0] if isinstance(got, tuple) else "ok")
+    assert outcomes == {"ok", DslError, CapError}
+
+
+def test_loader_matches_the_token_object_parser_on_gf16_edits():
+    rng = random.Random(16)
+    source = CORPUS["GF16"].source
+    for _ in range(60):
+        text = _edit(rng, source)
+        assert _outcome(load_structure, text, 16) == _outcome(slow_load_structure, text, 16)
