@@ -1,10 +1,12 @@
 """Automorphism groups of finite relational structures.
 
 The engine is a backtracking search over partial bijections, pruned by a
-stable vertex coloring (iterated refinement of relation-degree invariants)
-and by incremental forward/backward table checks.  It emits a strong
-generating set level by level, so large symmetric groups come out as a few
-generators instead of an element list.
+stable vertex coloring (equitable refinement: each element is signed by the
+colors of its tuples, its own positions marked) and by incremental
+forward/backward table checks.  It emits a strong generating set level by
+level, so large symmetric groups come out as a few generators instead of an
+element list, and returns the group's order as the product of its per-level
+orbit sizes.
 
 Pointwise stabilizers, and with them every `Aut(M/A)`, are derived from the
 full group's stabilizer chain rather than re-searched; the two routes agree
@@ -21,55 +23,60 @@ from .perm import (Perm, PermGroup, Restriction, close_group,
 from .structure import Structure
 
 
-def _stable_colors(M: Structure, fixed: frozenset[int]) -> tuple[int, ...]:
-    """Automorphism-invariant element coloring; fixed elements are singled out."""
-    init = []
-    for e in range(M.size):
-        degs = []
-        for rel, _ in M.signature.relations:
-            table = M.tables[rel]
-            arity = M.signature.arity(rel)
-            for pos in range(arity):
-                degs.append(sum(1 for t in table if t[pos] == e))
-        init.append((e if e in fixed else -1, tuple(degs)))
-    palette = {sig: i for i, sig in enumerate(sorted(set(init)))}
-    colors = [palette[sig] for sig in init]
-
-    touch: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(M.size)]
-    for rel, _ in M.signature.relations:
-        for t in M.tables[rel]:
-            for e in set(t):
-                touch[e].append((rel, t))
-
-    while True:
-        sigs = []
-        for e in range(M.size):
-            local = sorted((rel, tuple(colors[x] for x in t)) for rel, t in touch[e])
-            sigs.append((colors[e], tuple(local)))
-        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new_colors = [palette[sig] for sig in sigs]
-        if new_colors == colors:
-            return tuple(colors)
-        colors = new_colors
+#: Per element, its (relation index, table, tuple) entries.
+_Incidence = list[list[tuple[int, frozenset, tuple[int, ...]]]]
 
 
-def search_automorphism_generators(M: Structure,
-                                   fixed: Iterable[int] = ()) -> list[Perm]:
-    """Generators of the group of automorphisms fixing `fixed` pointwise.
-
-    Deterministic: base points ascending, candidate images ascending, and the
-    resulting generators sorted by image tuple.
-    """
-    fixed = M.check_subset(fixed, "fixed set")
-    n = M.size
-    colors = _stable_colors(M, fixed)
-
-    touch: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for rel, _ in M.signature.relations:
+def _incidence(M: Structure) -> _Incidence:
+    """Each element's entries, tuples taken in `sorted(table)` order."""
+    touch: _Incidence = [[] for _ in range(M.size)]
+    for r, (rel, _) in enumerate(M.signature.relations):
         table = M.tables[rel]
         for t in sorted(table):
             for e in set(t):
-                touch[e].append((table, t))
+                touch[e].append((r, table, t))
+    return touch
+
+
+def _stable_colors(M: Structure, fixed: frozenset[int],
+                   touch: _Incidence) -> tuple[int, ...]:
+    """Automorphism-invariant element coloring; fixed elements are singled out.
+
+    Each round signs an element by its color and the sorted (relation index,
+    tuple colors) of its tuples, its own positions written as -1, until the
+    number of classes stops growing.  The search only compares colors, and a
+    coloring every automorphism preserves prunes only maps that no
+    automorphism extends, so the generators found do not depend on which
+    such coloring is used.
+    """
+    colors = [e + 1 if e in fixed else 0 for e in range(M.size)]
+    count = len(set(colors))
+    while True:
+        sigs = [(colors[e], tuple(sorted(
+                    (r, tuple([-1 if x == e else colors[x] for x in t]))
+                    for r, _, t in touch[e])))
+                for e in range(M.size)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [palette[sig] for sig in sigs]
+        if len(palette) == count:
+            return tuple(colors)
+        count = len(palette)
+
+
+def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
+                                   ) -> tuple[list[Perm], int]:
+    """Generators of the group of automorphisms fixing `fixed` pointwise, and
+    the group's order.
+
+    Deterministic: base points ascending, candidate images ascending, and the
+    resulting generators sorted by image tuple.  Each level ends with the
+    whole orbit of its base point under the stabilizer of the points before
+    it, so the product of those orbit sizes is the order.
+    """
+    fixed = M.check_subset(fixed, "fixed set")
+    n = M.size
+    touch = _incidence(M)
+    colors = _stable_colors(M, fixed, touch)
 
     img = [-1] * n
     pre = [-1] * n
@@ -77,7 +84,7 @@ def search_automorphism_generators(M: Structure,
     def consistent(x: int, y: int) -> bool:
         if colors[x] != colors[y]:
             return False
-        for table, t in touch[x]:
+        for _, table, t in touch[x]:
             out = []
             for e in t:
                 ie = y if e == x else img[e]
@@ -87,7 +94,7 @@ def search_automorphism_generators(M: Structure,
                 out.append(ie)
             if out is not None and tuple(out) not in table:
                 return False
-        for table, t in touch[y]:
+        for _, table, t in touch[y]:
             out = []
             for e in t:
                 pe = x if e == y else pre[e]
@@ -132,6 +139,7 @@ def search_automorphism_generators(M: Structure,
                     frontier.append(q)
         return seen
 
+    order = 1
     for i in reversed(range(len(base))):
         x = base[i]
         prefix = fixed.union(base[:i])
@@ -150,40 +158,11 @@ def search_automorphism_generators(M: Structure,
             if found is not None:
                 gens.append(found)
                 known = reach(x)
+        order *= len(known)
         for e in range(n):
             img[e] = -1
             pre[e] = -1
-    return sorted(gens)
-
-
-def _orbit_product(generators: list[Perm], degree: int) -> int:
-    """The order of the group `search_automorphism_generators` found: the
-    product of its per-level orbit sizes.
-
-    The search handles base point x with every generator of the levels after
-    x already found, and finds a generator for each remaining point of x's
-    orbit in the stabilizer of the points before x; each such generator fixes
-    those points and moves x.  So the generators of levels x and later are
-    exactly those whose smallest moved point is >= x, and the orbit of x
-    under them is the search's whole orbit at level x (`known` when the level
-    ends).  The product over x is |Aut(M/fixed)| by orbit-stabilizer.
-    """
-    first_moved = [next(i for i, j in enumerate(g.images) if i != j)
-                   for g in generators]
-    order = 1
-    for x in range(degree):
-        level = [g for g, m in zip(generators, first_moved) if m >= x]
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            p = frontier.pop()
-            for g in level:
-                q = g.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        order *= len(seen)
-    return order
+    return sorted(gens), order
 
 
 def _cache(M: Structure) -> dict:
@@ -194,15 +173,14 @@ def automorphism_group(M: Structure) -> PermGroup:
     """The group of all bijections of the universe preserving every relation
     table in both directions.
 
-    The search's orbit product is the group's order, so the closure is told
-    it and skips the redundant sifting; a mismatch raises
-    `InternalCheckError`.
+    The closure is told the order the search returns and skips the redundant
+    sifting; a mismatch raises `InternalCheckError`.
     """
     cache = _cache(M)
     got = cache.get(frozenset())
     if got is None:
-        gens = search_automorphism_generators(M)
-        got = close_group(gens, degree=M.size, known_order=_orbit_product(gens, M.size))
+        gens, order = search_automorphism_generators(M)
+        got = close_group(gens, degree=M.size, known_order=order)
         cache[frozenset()] = got
     return got
 

@@ -21,6 +21,11 @@ identifier is a variable or an element name is decided against the
 structure's name table at evaluation time, with quantifier bindings taking
 priority.
 
+Evaluation is bounded in work as well as depth: each `evaluate` or
+`solution_set` call counts the assignments it tries (every quantifier
+iteration and every candidate tuple) and raises `CapError` past
+`EVAL_STEP_CAP`.
+
 Formulas and assignments are immutable values and evaluation is pure, so
 concurrent evaluations are safe.
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .errors import EvalError, FormulaError
+from .errors import CapError, EvalError, FormulaError
 from .structure import Signature, Structure, is_identifier
 
 # -- abstract syntax ----------------------------------------------------------
@@ -394,6 +399,10 @@ def parameters(f: Formula, names: Mapping[str, int]) -> tuple[str, ...]:
 
 # -- evaluation -------------------------------------------------------------------
 
+#: Most assignments one `evaluate` or `solution_set` call tries before it
+#: stops with `CapError`.
+EVAL_STEP_CAP = 1_000_000
+
 
 def evaluate(M: Structure, f: Formula, env: Mapping[str, int] | None = None) -> bool:
     """Tarskian truth value of `f` in `M` under a variable assignment.
@@ -405,10 +414,16 @@ def evaluate(M: Structure, f: Formula, env: Mapping[str, int] | None = None) -> 
     for var, val in scope.items():
         if not isinstance(val, int) or not 0 <= val < M.size:
             raise EvalError(f"assignment maps {var!r} to invalid element {val!r}")
-    return _eval(M, f, scope)
+    return _eval(M, f, scope, [0])
 
 
 _MISSING = object()
+
+
+def _count(steps: list[int], tried: int = 1) -> None:
+    steps[0] += tried
+    if steps[0] > EVAL_STEP_CAP:
+        raise CapError(f"formula evaluation passed {EVAL_STEP_CAP} assignments")
 
 
 def _resolve(M: Structure, term: str, env: dict) -> int:
@@ -421,41 +436,44 @@ def _resolve(M: Structure, term: str, env: dict) -> int:
     return got
 
 
-def _eval(M: Structure, f: Formula, env: dict) -> bool:
+def _eval(M: Structure, f: Formula, env: dict, steps: list[int]) -> bool:
     if isinstance(f, Atom):
         t = tuple(_resolve(M, a, env) for a in f.args)
         return t in M.tables[f.rel]
     if isinstance(f, Eq):
         return _resolve(M, f.left, env) == _resolve(M, f.right, env)
     if isinstance(f, Not):
-        return not _eval(M, f.body, env)
+        return not _eval(M, f.body, env, steps)
     if isinstance(f, And):
-        return _eval(M, f.left, env) and _eval(M, f.right, env)
+        return _eval(M, f.left, env, steps) and _eval(M, f.right, env, steps)
     if isinstance(f, Or):
-        return _eval(M, f.left, env) or _eval(M, f.right, env)
+        return _eval(M, f.left, env, steps) or _eval(M, f.right, env, steps)
     if isinstance(f, Implies):
-        return (not _eval(M, f.left, env)) or _eval(M, f.right, env)
+        return (not _eval(M, f.left, env, steps)) or _eval(M, f.right, env, steps)
     if isinstance(f, Iff):
-        return _eval(M, f.left, env) == _eval(M, f.right, env)
+        return _eval(M, f.left, env, steps) == _eval(M, f.right, env, steps)
 
     saved = env.get(f.var, _MISSING)
     try:
         if isinstance(f, Forall):
             for i in range(M.size):
+                _count(steps)
                 env[f.var] = i
-                if not _eval(M, f.body, env):
+                if not _eval(M, f.body, env, steps):
                     return False
             return True
         if isinstance(f, Exists):
             for i in range(M.size):
+                _count(steps)
                 env[f.var] = i
-                if _eval(M, f.body, env):
+                if _eval(M, f.body, env, steps):
                     return True
             return False
         count = 0
         for i in range(M.size):
+            _count(steps)
             env[f.var] = i
-            if _eval(M, f.body, env):
+            if _eval(M, f.body, env, steps):
                 count += 1
                 if count > f.count:
                     break
@@ -482,9 +500,12 @@ def solution_set(M: Structure, f: Formula,
             f"free variables of the formula are {sorted(free)}, got {sorted(variables)}")
     out = []
     env: dict[str, int] = {}
+    # Every candidate tuple is tried, so all are counted before the first.
+    steps = [0]
+    _count(steps, M.size ** len(variables))
     for combo in product(range(M.size), repeat=len(variables)):
         for var, val in zip(variables, combo):
             env[var] = val
-        if _eval(M, f, env):
+        if _eval(M, f, env, steps):
             out.append(combo)
     return tuple(out)

@@ -21,7 +21,7 @@ trivial, so every remaining Schreier generator sifts to the identity and no
 level, base point or transversal would change.  Only those sifts are skipped;
 every transversal is still rebuilt where the full pass rebuilds it.  The
 order is passed only where it is exact (a completed chain's order, a
-subgroup mask's size, the automorphism search's orbit product), and a
+subgroup mask's size, the order the automorphism search returns), and a
 finished chain whose order differs from it raises `InternalCheckError`.
 
 Groups are immutable once closed; membership tests and queries are pure.

@@ -7,7 +7,9 @@ witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
 searches as loops over element lists, the antitone law on closed subgroups,
-the structure parser built on token objects) are kept here as references.
+the structure parser built on token objects, the automorphism search's
+degree-scan coloring and its orbit product rebuilt from generators) are kept
+here as references.
 """
 
 from __future__ import annotations
@@ -125,6 +127,63 @@ def brute_automorphisms(M, fixed=frozenset()) -> list[Perm]:
         if ok:
             out.append(Perm(images))
     return out
+
+
+def slow_stable_colors(M, fixed) -> tuple[int, ...]:
+    """The automorphism search's old coloring: relation-degree invariants
+    (one table scan per element), then refinement by the colors of each
+    element's tuples, without marking its own positions."""
+    init = []
+    for e in range(M.size):
+        degs = []
+        for rel, _ in M.signature.relations:
+            table = M.tables[rel]
+            arity = M.signature.arity(rel)
+            for pos in range(arity):
+                degs.append(sum(1 for t in table if t[pos] == e))
+        init.append((e if e in fixed else -1, tuple(degs)))
+    palette = {sig: i for i, sig in enumerate(sorted(set(init)))}
+    colors = [palette[sig] for sig in init]
+
+    touch = [[] for _ in range(M.size)]
+    for rel, _ in M.signature.relations:
+        for t in M.tables[rel]:
+            for e in set(t):
+                touch[e].append((rel, t))
+
+    while True:
+        sigs = []
+        for e in range(M.size):
+            local = sorted((rel, tuple(colors[x] for x in t)) for rel, t in touch[e])
+            sigs.append((colors[e], tuple(local)))
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new_colors = [palette[sig] for sig in sigs]
+        if new_colors == colors:
+            return tuple(colors)
+        colors = new_colors
+
+
+def slow_orbit_product(generators, degree) -> int:
+    """The order of the group the automorphism search found, rebuilt from its
+    generators alone: the generators of level x are those whose smallest
+    moved point is >= x, and the product over x of the orbit of x under
+    them is the search's per-level orbit product."""
+    first_moved = [next(i for i, j in enumerate(g.images) if i != j)
+                   for g in generators]
+    order = 1
+    for x in range(degree):
+        level = [g for g, m in zip(generators, first_moved) if m >= x]
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            p = frontier.pop()
+            for g in level:
+                q = g.images[p]
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        order *= len(seen)
+    return order
 
 
 def naive_closure(perms, degree) -> set[Perm]:

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from galbench.aut import (_orbit_product, automorphism_group,
-                          automorphism_group_fixing, relative_aut,
-                          relative_restriction, search_automorphism_generators)
+import galbench.aut as aut
+from galbench.aut import (automorphism_group, automorphism_group_fixing,
+                          relative_aut, relative_restriction,
+                          search_automorphism_generators)
 from galbench.errors import NotInvariantError, StructureError
 from galbench.perm import Perm, close_group, stabilizer_pointwise
 from galbench.structure import load_structure
 
-from oracles import brute_automorphisms, frobenius_perm, naive_closure
+from oracles import (brute_automorphisms, frobenius_perm, naive_closure,
+                     slow_orbit_product, slow_stable_colors)
 from test_fastpaths import GENERATED
 from test_perm import chain
 
@@ -65,7 +67,8 @@ def test_fixing_agrees_with_direct_search(corpus_structure):
     rng = random.Random(21)
     for _ in range(5):
         A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
-        searched = close_group(search_automorphism_generators(M, A), degree=M.size)
+        gens, _ = search_automorphism_generators(M, A)
+        searched = close_group(gens, degree=M.size)
         assert searched.equals(automorphism_group_fixing(M, A))
 
 
@@ -136,9 +139,8 @@ def test_sixteen_points_no_relations_handled():
 
 
 def test_determinism_of_generators(ex_rs):
-    a = search_automorphism_generators(ex_rs)
-    b = search_automorphism_generators(ex_rs)
-    assert a == b
+    a, order = search_automorphism_generators(ex_rs)
+    assert search_automorphism_generators(ex_rs) == (a, order)
     assert a == sorted(a)
 
 
@@ -175,17 +177,27 @@ def test_random_generator_sets_match_naive_closure():
         assert G.order == len(naive_closure(gens, n))
 
 
+def fixed_sets(M):
+    """The empty set, one point, every other point and three seeded random
+    sets of up to three points."""
+    rng = random.Random(M.name)
+    return [(), (0,), tuple(range(0, M.size, 2))] + [
+        tuple(rng.sample(range(M.size), rng.randint(1, min(3, M.size))))
+        for _ in range(3)]
+
+
 def assert_orbit_product_is_the_order(M):
-    """The search's per-level orbit product is the order of the group its
-    generators close to, with and without fixed points, and the hinted
-    automorphism group is the unhinted closure, chain and all."""
-    for fixed in ((), (0,), tuple(range(0, M.size, 2))):
-        gens = search_automorphism_generators(M, fixed)
+    """The order the search returns is its per-level orbit product and the
+    order of the group its generators close to, with and without fixed
+    points, and the hinted automorphism group is the unhinted closure, chain
+    and all."""
+    for fixed in fixed_sets(M):
+        gens, order = search_automorphism_generators(M, fixed)
         plain = close_group(gens, degree=M.size)
-        assert _orbit_product(gens, M.size) == plain.order
+        assert order == slow_orbit_product(gens, M.size) == plain.order
     G = automorphism_group(M)
-    plain = close_group(search_automorphism_generators(M), degree=M.size)
-    assert chain(G) == chain(plain)
+    gens, _ = search_automorphism_generators(M)
+    assert chain(G) == chain(close_group(gens, degree=M.size))
 
 
 def test_orbit_product_is_the_order_on_the_corpus(corpus_structure):
@@ -195,3 +207,84 @@ def test_orbit_product_is_the_order_on_the_corpus(corpus_structure):
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_orbit_product_is_the_order_on_generated_families(name):
     assert_orbit_product_is_the_order(GENERATED[name]())
+
+
+# -- the coloring against the degree-scan coloring it replaced ---------------------
+
+
+def same_partition(a, b):
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+def assert_coloring_matches_oracle(M, monkeypatch):
+    """For each fixed set: the coloring partitions the universe as the old
+    coloring did, every generator of Aut(M/fixed) preserves it, and the
+    search run on the old coloring finds the same generators and order."""
+    for fixed in fixed_sets(M):
+        F = frozenset(fixed)
+        colors = aut._stable_colors(M, F, aut._incidence(M))
+        assert same_partition(colors, slow_stable_colors(M, F))
+        gens, order = search_automorphism_generators(M, fixed)
+        for g in gens + list(automorphism_group_fixing(M, F).generators):
+            assert all(colors[g(e)] == colors[e] for e in range(M.size))
+        with monkeypatch.context() as m:
+            m.setattr(aut, "_stable_colors",
+                      lambda M, fixed, touch: slow_stable_colors(M, fixed))
+            assert search_automorphism_generators(M, fixed) == (gens, order)
+
+
+def test_coloring_matches_oracle_on_the_corpus(corpus_structure, monkeypatch):
+    assert_coloring_matches_oracle(corpus_structure, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_coloring_matches_oracle_on_generated_families(name, monkeypatch):
+    assert_coloring_matches_oracle(GENERATED[name](), monkeypatch)
+
+
+def random_structure(rng, name, max_size):
+    from itertools import product
+
+    from galbench.structure import Signature, Structure
+
+    n = rng.randint(1, max_size)
+    rels, tables = [], {}
+    for r in range(rng.randint(0, 3)):
+        arity = rng.randint(1, 3)
+        rels.append((f"R{r}", arity))
+        pool = list(product(range(n), repeat=arity))
+        tables[f"R{r}"] = set(rng.sample(pool, rng.randint(0, min(len(pool), 12))))
+    return Structure(name, Signature(tuple(rels)), [f"e{i}" for i in range(n)], tables)
+
+
+def test_coloring_refines_oracle_on_random_structures(monkeypatch):
+    """Marking an element's own positions can split a class the degree scan
+    kept whole, never the reverse; either coloring gives the same search."""
+    rng = random.Random(23)
+    for trial in range(300):
+        M = random_structure(rng, f"Z{trial}", 8)
+        F = frozenset(rng.sample(range(M.size), rng.randint(0, M.size)))
+        colors = aut._stable_colors(M, F, aut._incidence(M))
+        old = slow_stable_colors(M, F)
+        assert len(set(zip(colors, old))) == len(set(colors))
+        gens, order = search_automorphism_generators(M, F)
+        assert all(colors[g(e)] == colors[e] for g in gens for e in range(M.size))
+        with monkeypatch.context() as m:
+            m.setattr(aut, "_stable_colors",
+                      lambda M, fixed, touch: slow_stable_colors(M, fixed))
+            assert search_automorphism_generators(M, F) == (gens, order)
+
+
+def test_own_positions_split_what_degrees_do_not():
+    """Elements 1 and 6 share both their tuples, (4, 6, 1) and (2, 1, 6), and
+    each sits once in position 1 and once in position 2, so the old coloring
+    cannot tell them apart; but 1 is last beside 4 and 6 is last beside 2."""
+    from galbench.structure import Signature, Structure
+
+    M = Structure("Split", Signature((("T", 3),)), [f"e{i}" for i in range(8)],
+                  {"T": {(4, 6, 1), (4, 5, 4), (0, 4, 5), (2, 1, 6)}})
+    colors = aut._stable_colors(M, frozenset(), aut._incidence(M))
+    old = slow_stable_colors(M, frozenset())
+    assert old[1] == old[6] and colors[1] != colors[6]
+    gens, order = search_automorphism_generators(M)
+    assert order == len(brute_automorphisms(M)) == close_group(gens, degree=8).order

@@ -295,6 +295,20 @@ def test_tuple_search_past_its_work_cap_exits_2(tmp_path, capsys):
     assert code == 0 and text == "none (no code of length <= 3)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "corpus:GF16", "A x1. A x2. A x3. A x4. A x5. A x6. A x7. x1 = x1"],
+    ["irr-check", "corpus:GF16", "x1=x1 & x2=x2 & x3=x3 & x4=x4 & x5=x5 & x6=x6",
+     "--tuple", "0,0,0,0,0,0"],
+], ids=["eval-16^7", "irr-check-16^6"])
+def test_formula_evaluation_past_its_work_cap_exits_2(argv, capsys):
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: formula evaluation passed 1000000 assignments\n"
+
+
 # -- run_command on malformed structure files -----------------------------------------
 
 _FUZZ_COMMANDS = [

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galbench.errors import EvalError, FormulaError
+import galbench.formula as formula
+from galbench.errors import CapError, EvalError, FormulaError
 from galbench.formula import (MAX_DEPTH, And, Atom, Eq, ExactCount, Exists,
                               Forall, Iff, Implies, Not, Or, evaluate, format_formula,
                               free_variables, parameters, parse_formula,
@@ -252,3 +253,25 @@ def test_nesting_limit_is_exact(c5):
     for text in ("~" * MAX_DEPTH + "v0 = v0", chain + " & v0 = v0"):
         with pytest.raises(FormulaError, match="nests deeper than"):
             parse_formula(text, c5.signature)
+
+
+def test_evaluation_counts_every_assignment_it_tries(ex_rs, monkeypatch):
+    """`A x. x = x` tries 6 assignments.  `E z. R(y, z)` for y in a..f tries
+    the 6 values of y, then 2, 1, 4, 3, 6 and 6 values of z (R pairs a with
+    b and c with d): 28 in all, counted against one budget per call."""
+    every = parse_formula("A x. x = x", ex_rs.signature)
+    some = parse_formula("E z. R(y, z)", ex_rs.signature)
+    monkeypatch.setattr(formula, "EVAL_STEP_CAP", 6)
+    assert evaluate(ex_rs, every) is True
+    assert evaluate(ex_rs, every) is True
+    monkeypatch.setattr(formula, "EVAL_STEP_CAP", 5)
+    with pytest.raises(CapError, match="formula evaluation passed 5 assignments"):
+        evaluate(ex_rs, every)
+    monkeypatch.setattr(formula, "EVAL_STEP_CAP", 28)
+    assert solution_set(ex_rs, some, ("y",)) == ((0,), (1,), (2,), (3,))
+    monkeypatch.setattr(formula, "EVAL_STEP_CAP", 27)
+    with pytest.raises(CapError, match="passed 27 assignments"):
+        solution_set(ex_rs, some, ("y",))
+    monkeypatch.setattr(formula, "EVAL_STEP_CAP", 35)
+    with pytest.raises(CapError, match="passed 35 assignments"):
+        solution_set(ex_rs, parse_formula("R(x, y)", ex_rs.signature), ("x", "y"))

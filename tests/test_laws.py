@@ -206,3 +206,37 @@ def test_law_suite_raises_a_failed_search_again_where_it_used_to():
     # repeated computation did.
     with pytest.raises(InconclusiveError, match="degree undetermined"):
         run_law_suite(load_corpus("EX_RS"), trials=5, seed=1, max_len=0)
+
+
+def test_duality_check_codes_small_sets_only_on_a_clean_pass(monkeypatch):
+    """`codes_finite_sets` is read only when the correspondence passes with
+    its own coding hypothesis: EX_RS fails the correspondence, so its verify
+    output stands without the search; GF4 passes, so it runs once."""
+    import io
+    from pathlib import Path
+
+    import galbench.suite as suite
+    from galbench.cli import run_command
+
+    golden = Path(__file__).parent / "golden"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("codes_finite_sets called")
+
+    monkeypatch.setattr(suite, "codes_finite_sets", refuse)
+    out = io.StringIO()
+    assert run_command(["verify", "corpus:EX_RS", "--trials", "10"], out=out) == 0
+    assert out.getvalue() == (golden / "verify-EX_RS.out").read_text(encoding="utf-8")
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return codes_finite_sets(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "codes_finite_sets", counted)
+    out = io.StringIO()
+    assert run_command(["verify", "corpus:GF4", "--trials", "20", "--seed", "3",
+                        "--format", "json"], out=out) == 0
+    assert out.getvalue() == (golden / "verify-GF4-json.out").read_text(encoding="utf-8")
+    assert calls == ["GF4"]
