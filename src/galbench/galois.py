@@ -26,13 +26,13 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from . import formula as fm
+from . import perm
 from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
                   relative_restriction)
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, StructureError)
-from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, PermGroup, _bits,
-                   _check_cap, is_normal_subgroup, orbit,
-                   restrict_to_invariant_set, stabilizer_pointwise)
+from .perm import (PermGroup, _bits, _check_cap, _is_invariant, is_normal_subgroup,
+                   orbit, restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
 #: Default bound for generator and code tuple searches.
@@ -180,17 +180,15 @@ def is_normal_extension(M: Structure, A: Iterable[int], B: Iterable[int]) -> boo
     """Does B contain the whole A-orbit of each of its elements?
 
     Checked on single elements only: the action on tuples is coordinatewise,
-    so element orbits inside B give tuple orbits inside powers of B.
+    so element orbits inside B give tuple orbits inside powers of B.  B holds
+    the orbits of its elements exactly when Aut(M/A) maps B onto itself,
+    which its generators decide.
     """
     A = M.check_subset(A, "base set")
     B = M.check_subset(B, "extension set")
     if not A <= B:
         raise StructureError("base set must be contained in the extension")
-    G = automorphism_group_fixing(M, A)
-    for x in sorted(B):
-        if any(t[0] not in B for t in orbit(G, (x,))):
-            return False
-    return True
+    return _is_invariant(automorphism_group_fixing(M, A), B)
 
 
 def is_splitting_extension(M: Structure, A: Iterable[int], B: Iterable[int],
@@ -231,7 +229,7 @@ def extension_aut_order(M: Structure, B: Iterable[int], A: Iterable[int],
     if not A <= B:
         raise StructureError("base set must be contained in the extension")
     G = automorphism_group_fixing(M, A)
-    if all(g.apply_set(B) == B for g in G.generators):
+    if _is_invariant(G, B):
         return relative_restriction(M, B, A).image.order
     gen = find_generator(M, A, B, max_len)
     if gen is None:
@@ -293,8 +291,7 @@ def _mask(points: Iterable[int]) -> int:
 
 
 def find_code(M: Structure, F: Iterable[Sequence[int]],
-              max_len: int = DEFAULT_MAX_LEN,
-              element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...] | None:
+              max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...] | None:
     """A tuple fixed by exactly the automorphisms fixing F setwise, or None.
 
     Any code must have all entries among the fixed points of the setwise
@@ -315,7 +312,7 @@ def find_code(M: Structure, F: Iterable[Sequence[int]],
     lengths = {len(t) for t in tuples}
     if len(lengths) > 1:
         raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
-    table = automorphism_group(M).element_table(element_cap)
+    table = automorphism_group(M).element_table()
     setwise = table.setwise(tuples)
     target = setwise.bit_count()
     candidates = list(_bits(table.fixed(setwise)))
@@ -474,8 +471,7 @@ def multisymmetric_monomials(set_size: int, tuple_len: int) -> tuple[tuple[int, 
     return tuple(m for m in monos if m != (set_size,) + (0,) * tuple_len)
 
 
-def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]],
-                        max_elements: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
+def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """Code a finite set of tuples over a field-encoded structure by the
     coefficients of a product of linear forms.
 
@@ -518,7 +514,7 @@ def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]],
     code = tuple(poly.get(mono, ops.zero)
                  for mono in multisymmetric_monomials(m, n))
 
-    table = automorphism_group(M).element_table(max_elements)
+    table = automorphism_group(M).element_table()
     if table.setwise(set(tuples)) != table.pointwise(_mask(code)):
         raise InternalCheckError(
             "coefficient tuple fails the stabilizer equality; this is a bug")
@@ -600,9 +596,7 @@ class GaloisReport:
 
 
 def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int],
-                                 max_len: int = DEFAULT_MAX_LEN,
-                                 subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-                                 element_cap: int = DEFAULT_ELEMENT_CAP) -> GaloisReport:
+                                 max_len: int = DEFAULT_MAX_LEN) -> GaloisReport:
     """Check the two closure identities of the subgroup/intermediate-set duality.
 
     Inputs are replaced by their definable closures first (all notions in play
@@ -645,9 +639,10 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     restr = relative_restriction(M, C, A)
     G = restr.image
     points = restr.points
-    if G.order > subgroup_cap:
-        raise CapError(f"relative group order {G.order} exceeds cap {subgroup_cap}")
-    table = G.element_table(cap=None)
+    if G.order > perm.DEFAULT_SUBGROUP_CAP:
+        raise CapError(
+            f"relative group order {G.order} exceeds cap {perm.DEFAULT_SUBGROUP_CAP}")
+    table = G.element_table()
     lattice = table.subgroups()
 
     def elements_of(positions: int) -> frozenset[int]:
@@ -673,7 +668,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
 
     # The intermediate sets: the closure system of the fixed-point masks.  The
     # element cap still bounds the check by |Aut(M/A)|.
-    _check_cap(automorphism_group_fixing(M, A).order, element_cap)
+    _check_cap(automorphism_group_fixing(M, A).order)
     family = {table.fixmasks[0]}
     for f in set(table.fixmasks):
         family |= {f & b for b in family}

@@ -32,6 +32,12 @@ prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
 the stabilizer memo grows with the distinct tuples G is asked about.
 `all_subgroups` is a thin wrapper over the element table's lattice masks,
 closing one group per mask; nothing in the package calls it.
+
+Three module constants bound the work at desk scale.  `DEFAULT_ELEMENT_CAP`
+bounds the order of a group whose elements are enumerated,
+`DEFAULT_SUBGROUP_CAP` the order of a group whose subgroup lattice is built,
+and `LATTICE_WORK_CAP` the work of building that lattice.  Each is read where
+the work happens, at call time, and past it the work stops with `CapError`.
 """
 
 from __future__ import annotations
@@ -40,13 +46,20 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapError, GroupError, InternalCheckError
+from .errors import CapError, GroupError, InternalCheckError, NotInvariantError
 
-#: Guard for operations that must enumerate every group element.
+#: Largest group order whose elements are enumerated.
 DEFAULT_ELEMENT_CAP = 200_000
 
-#: Guard for subgroup-lattice enumeration.
+#: Largest group order whose subgroup lattice is enumerated.
 DEFAULT_SUBGROUP_CAP = 2000
+
+#: Most product lookups one subgroup lattice makes before
+#: `ElementTable.subgroups` stops with `CapError`: each `generated` call looks
+#: up its members times its generators in the multiplication columns.  The
+#: largest lattice the benchmark builds makes 29,528, two directed 8-cycles
+#: (order 128) 656,752, and S6 (order 720) tens of millions.
+LATTICE_WORK_CAP = 3_000_000
 
 
 class Perm:
@@ -139,9 +152,10 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     return p
 
 
-def _check_cap(order: int, cap: int | None) -> None:
-    if cap is not None and order > cap:
-        raise CapError(f"group of order {order} exceeds enumeration cap {cap}")
+def _check_cap(order: int) -> None:
+    if order > DEFAULT_ELEMENT_CAP:
+        raise CapError(
+            f"group of order {order} exceeds enumeration cap {DEFAULT_ELEMENT_CAP}")
 
 
 def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
@@ -201,9 +215,9 @@ class PermGroup:
         """Strong generators fixing the first k base points pointwise."""
         return list(self._levels[k]) if k < len(self._levels) else []
 
-    def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> list[Perm]:
+    def elements(self) -> list[Perm]:
         """Every group element, sorted by image tuple."""
-        _check_cap(self.order, cap)
+        _check_cap(self.order)
         elems = [Perm.identity(self.degree)]
         for i in reversed(range(len(self.base))):
             layer = []
@@ -214,12 +228,13 @@ class PermGroup:
         elems.sort()
         return elems
 
-    def element_table(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> "ElementTable":
+    def element_table(self) -> "ElementTable":
         """The group's `ElementTable`, built from `elements` on first use and
-        kept; the cap is checked on every call, as `elements` checks it."""
-        _check_cap(self.order, cap)
+        kept; the element cap is checked on every call, as `elements` checks
+        it."""
+        _check_cap(self.order)
         if self._table is None:
-            self._table = ElementTable(self.elements(cap=None))
+            self._table = ElementTable(self.elements())
         return self._table
 
     def equals(self, other: "PermGroup") -> bool:
@@ -397,14 +412,21 @@ def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
+def _is_invariant(G: PermGroup, points: frozenset[int]) -> bool:
+    """Does G map the set onto itself?  Decided on the generators: a group
+    preserves a set when its generators do, and a finite set mapped into
+    itself by a bijection is mapped onto itself."""
+    return all(g.apply_set(points) == points for g in G.generators)
+
+
 def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
     """The subgroup of G fixing every entry of the tuple.
 
-    One closure with the entries as base prefix, told G's order; the
-    stabilizer is the chain from the first level after the prefix on.  The
-    result is kept in G, keyed on the entries in first-occurrence order
-    (the chain depends on the prefix order), so a repeated call returns the
-    same group.
+    With no entries this is G itself.  Otherwise one closure with the
+    entries as base prefix, told G's order; the stabilizer is the chain from
+    the first level after the prefix on.  The result is kept in G, keyed on
+    the entries in first-occurrence order (the chain depends on the prefix
+    order), so a repeated call returns the same group.
     """
     points = []
     for e in t:
@@ -412,6 +434,8 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
             raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
         if e not in points:
             points.append(e)
+    if not points:
+        return G
     key = tuple(points)
     memo = G._stabilizers
     if memo is None:
@@ -431,8 +455,7 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
     return got
 
 
-def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
-                       cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]]) -> PermGroup:
     """The subgroup of G mapping the set of tuples F onto itself."""
     tuples = {tuple(t) for t in F}
     lengths = {len(t) for t in tuples}
@@ -442,7 +465,7 @@ def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]],
         for e in t:
             if not 0 <= e < G.degree:
                 raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
-    table = G.element_table(cap)
+    table = G.element_table()
     kept = table.setwise(tuples)
     return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree,
                        known_order=kept.bit_count())
@@ -468,11 +491,11 @@ class ElementTable:
     element i as a bitmask over the points, so pointwise stabilizers and
     fixed sets are containment tests and ANDs of masks.  The index map, the
     right-multiplication columns and the subgroup lattice are built on first
-    use.
+    use.  `lookups` counts the product lookups `generated` has made.
     """
 
-    __slots__ = ("elements", "fixmasks", "_index", "_columns", "_fix_counts",
-                 "_lattice")
+    __slots__ = ("elements", "fixmasks", "lookups", "_index", "_columns",
+                 "_fix_counts", "_lattice")
 
     def __init__(self, elements: list[Perm]):
         self.elements = elements
@@ -485,6 +508,7 @@ class ElementTable:
                     mask |= 1 << x
             masks.append(shared.setdefault(mask, mask))
         self.fixmasks = masks
+        self.lookups = 0
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: dict[int, list[int]] = {}
         self._fix_counts: dict[int, int] | None = None
@@ -559,6 +583,7 @@ class ElementTable:
                         members |= 1 << j
                         nxt.append(j)
             frontier = nxt
+        self.lookups += members.bit_count() * len(cols)
         return members
 
     def minimal_generators(self, mask: int) -> list[int]:
@@ -600,9 +625,12 @@ class ElementTable:
         Cyclic extension (Neubüser): starting from the trivial group, join
         each subgroup found with each cyclic subgroup of prime-power order it
         misses.  Complete because every subgroup is the join of the cyclic
-        subgroups of prime-power order it contains.
+        subgroups of prime-power order it contains.  Past `LATTICE_WORK_CAP`
+        product lookups, counted after each join and its minimal generators,
+        it raises `CapError`.
         """
         if self._lattice is None:
+            start = self.lookups
             zuppos = self.zuppos()
             gens_of: dict[int, list[int]] = {1: []}
             worklist = [1]
@@ -614,6 +642,9 @@ class ElementTable:
                     if join not in gens_of:
                         gens_of[join] = self.minimal_generators(join)
                         worklist.append(join)
+                    if self.lookups - start > LATTICE_WORK_CAP:
+                        raise CapError(f"subgroup lattice passed {LATTICE_WORK_CAP} "
+                                       f"product lookups")
             ordered = sorted(gens_of, key=lambda m: (m.bit_count(), list(_bits(m))))
             self._lattice = [(m, gens_of[m]) for m in ordered]
         return self._lattice
@@ -630,7 +661,7 @@ def _is_prime_power(n: int) -> bool:
     return n == 1
 
 
-def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
+def all_subgroups(G: PermGroup) -> list[PermGroup]:
     """Every subgroup of G exactly once, sorted by (order, element list).
 
     A thin public wrapper: the lattice is `ElementTable.subgroups` on G's
@@ -638,9 +669,10 @@ def all_subgroups(G: PermGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGro
     on its minimal generators, told its order (the mask's size).  The package
     itself works on the masks.
     """
-    if G.order > cap:
-        raise CapError(f"group order {G.order} exceeds subgroup enumeration cap {cap}")
-    table = G.element_table(cap=None)
+    if G.order > DEFAULT_SUBGROUP_CAP:
+        raise CapError(f"group order {G.order} exceeds subgroup enumeration cap "
+                       f"{DEFAULT_SUBGROUP_CAP}")
+    table = G.element_table()
     return [close_group(table.perms(gens), degree=G.degree, known_order=mask.bit_count())
             for mask, gens in table.subgroups()]
 
@@ -685,16 +717,10 @@ def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:
     for e in points:
         if not 0 <= e < G.degree:
             raise GroupError(f"element {e} out of range for degree {G.degree}")
-    pset = frozenset(points)
+    if not _is_invariant(G, frozenset(points)):
+        raise NotInvariantError(f"set {points} is not setwise invariant under the group")
     index = {e: i for i, e in enumerate(points)}
-    from .errors import NotInvariantError
-
-    restricted = []
-    for g in G.generators:
-        if g.apply_set(pset) != pset:
-            raise NotInvariantError(
-                f"set {points} is not setwise invariant under the group")
-        restricted.append(Perm(index[g(e)] for e in points))
+    restricted = [Perm(index[g(e)] for e in points) for g in G.generators]
     # No known order for the image: the check below is what tests the split.
     image = close_group(restricted, degree=len(points))
     kernel = stabilizer_pointwise(G, points)

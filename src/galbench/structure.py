@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .errors import CapError, DslError, StructureError
 
-#: Largest universe `load_structure` accepts by default.  Everything downstream
+#: Largest universe `load_structure` accepts.  Everything downstream
 #: (automorphism search, subgroup lattices, subset enumeration) is designed to
 #: terminate comfortably at this desk scale.
 DEFAULT_UNIVERSE_CAP = 16
@@ -228,7 +228,7 @@ def _position(lines: list[str], toks: list[str], where: list[int], i: int) -> tu
     return line, starts[i - where.index(line)] + 1
 
 
-def load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Structure:
+def load_structure(text: str) -> Structure:
     """Parse structure text into a validated `Structure`.
 
     Universe order follows declaration order, so all downstream canonical
@@ -271,8 +271,9 @@ def load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Struct
     i = expect(i, "}")
     if not index:
         fail("universe must contain at least one element", i)
-    if len(index) > max_size:
-        raise CapError(f"universe has {len(index)} elements; cap is {max_size}")
+    if len(index) > DEFAULT_UNIVERSE_CAP:
+        raise CapError(
+            f"universe has {len(index)} elements; cap is {DEFAULT_UNIVERSE_CAP}")
 
     rels: list[tuple[str, int]] = []
     tables: dict[str, set[tuple[int, ...]]] = {}

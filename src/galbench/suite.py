@@ -54,8 +54,8 @@ class SuiteReport:
         }
 
 
-def _random_subset(rng: random.Random, n: int, max_size: int) -> frozenset[int]:
-    size = rng.randint(0, min(max_size, n))
+def _random_subset(rng: random.Random, n: int, most: int) -> frozenset[int]:
+    size = rng.randint(0, min(most, n))
     return frozenset(rng.sample(range(n), size))
 
 
@@ -74,7 +74,7 @@ def _antitone_law(M: Structure, C: frozenset[int], A: frozenset[int],
     """
     points = sorted(C)
     if G_rel.order <= 512:
-        table = G_rel.element_table(cap=None)
+        table = G_rel.element_table()
         subs = [(mask, table.perms(gens)) for mask, gens in table.subgroups()]
     else:
         subs = [(0, list(G_rel.generators))]

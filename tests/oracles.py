@@ -6,7 +6,8 @@ all bijections, group orders from naive closure, and formula evaluation from a
 witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
-searches as loops over element lists, the antitone law on closed subgroups,
+searches as loops over element lists, normality as an orbit search per
+element, the antitone law on closed subgroups,
 the structure parser built on token objects, the automorphism search's
 degree-scan coloring and its orbit product rebuilt from generators) are kept
 here as references.
@@ -19,6 +20,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from galbench import perm, structure
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_restriction)
 from galbench.errors import (CapError, DslError, HypothesisError,
@@ -27,11 +29,9 @@ from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
                              _render_group, _render_set, dcl, find_generator,
-                             fix_of_set, fix_of_subgroup, is_normal_extension)
-from galbench.perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, Perm,
-                           all_subgroups, close_group)
-from galbench.structure import (DEFAULT_UNIVERSE_CAP, Signature, Structure,
-                                is_element_name, is_identifier)
+                             fix_of_set, fix_of_subgroup)
+from galbench.perm import Perm, all_subgroups, close_group, orbit
+from galbench.structure import Signature, Structure, is_element_name, is_identifier
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
 
@@ -233,7 +233,7 @@ def cyclic_join_subgroups(G) -> list[tuple[list[Perm], list[Perm]]]:
     ident = Perm.identity(G.degree)
     cyclics = []
     seen_cyc = set()
-    for g in G.elements(cap=None):
+    for g in G.elements():
         if g.is_identity():
             continue
         powers = {ident}
@@ -278,7 +278,7 @@ def slow_antitone_law(M, C, A, G_rel, B1, B2) -> list[str]:
     (`all_subgroups`), Fix(H) by `fix_of_subgroup`, containment by
     `is_subgroup_of`, and a `fix_of_set` per subgroup."""
     out = []
-    subs = all_subgroups(G_rel, cap=512) if G_rel.order <= 512 else [G_rel]
+    subs = all_subgroups(G_rel) if G_rel.order <= 512 else [G_rel]
     fixes = [fix_of_subgroup(M, C, H1) for H1 in subs]
     for H1, f1 in zip(subs, fixes):
         for H2, f2 in zip(subs, fixes):
@@ -299,13 +299,27 @@ def slow_antitone_law(M, C, A, G_rel, B1, B2) -> list[str]:
 # -- the duality check and code searches over element lists -------------------------
 
 
-def slow_find_code(M, F, max_len=3, element_cap=DEFAULT_ELEMENT_CAP):
+def slow_is_normal_extension(M, A, B) -> bool:
+    """`is_normal_extension` as an orbit search per element of B: does B
+    contain the Aut(M/A)-orbit of each of its elements?"""
+    A = M.check_subset(A, "base set")
+    B = M.check_subset(B, "extension set")
+    if not A <= B:
+        raise StructureError("base set must be contained in the extension")
+    G = automorphism_group_fixing(M, A)
+    for x in sorted(B):
+        if any(t[0] not in B for t in orbit(G, (x,))):
+            return False
+    return True
+
+
+def slow_find_code(M, F, max_len=3):
     """`find_code` by filtering Aut(M)'s element list for every candidate."""
     tuples = {M.check_tuple(t, "set member") for t in F}
     lengths = {len(t) for t in tuples}
     if len(lengths) > 1:
         raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
-    elems = automorphism_group(M).elements(cap=element_cap)
+    elems = automorphism_group(M).elements()
     setwise = [g for g in elems if {g.apply_tuple(t) for t in tuples} == tuples]
     target = len(setwise)
     candidates = [x for x in range(M.size) if all(g(x) == x for g in setwise)]
@@ -338,18 +352,17 @@ def slow_codes_finite_sets(M, max_set_size=2, max_len=3) -> CodesReport:
                        sets_checked=len(reps), failures=tuple(failures))
 
 
-def slow_code_is_verified(M, F, code, max_elements=DEFAULT_ELEMENT_CAP) -> bool:
+def slow_code_is_verified(M, F, code) -> bool:
     """The stabilizer equality `multisymmetric_code` asserts, over Perm sets:
     the automorphisms fixing `code` pointwise are those fixing F setwise."""
     tuples = set(F)
-    elems = automorphism_group(M).elements(cap=max_elements)
+    elems = automorphism_group(M).elements()
     setwise = {g for g in elems if {g.apply_tuple(t) for t in tuples} == tuples}
     pointwise = {g for g in elems if all(g(e) == e for e in code)}
     return setwise == pointwise
 
 
-def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP_CAP,
-                               element_cap=DEFAULT_ELEMENT_CAP) -> GaloisReport:
+def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
     """`verify_galois_correspondence` with a stabilizer chain per subgroup and
     per intermediate set (`fix_of_set`), the intermediate sets found by
     scanning every submask of C against Aut(M/A)'s element list, and codes
@@ -361,7 +374,7 @@ def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP
     A = dcl(M, A0)
     C = dcl(M, C0)
     normalized = (A != A0) or (C != C0)
-    if not is_normal_extension(M, A, C):
+    if not slow_is_normal_extension(M, A, C):
         raise HypothesisError(
             "top set is not a normal extension of the base: some orbit leaves it")
 
@@ -369,9 +382,10 @@ def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP
     restr = relative_restriction(M, C, A)
     G = restr.image
     points = restr.points
-    if G.order > subgroup_cap:
-        raise CapError(f"relative group order {G.order} exceeds cap {subgroup_cap}")
-    subs = all_subgroups(G, cap=subgroup_cap)
+    if G.order > perm.DEFAULT_SUBGROUP_CAP:
+        raise CapError(
+            f"relative group order {G.order} exceeds cap {perm.DEFAULT_SUBGROUP_CAP}")
+    subs = all_subgroups(G)
 
     pairs = []
     failures = []
@@ -389,7 +403,7 @@ def slow_galois_correspondence(M, A, C, max_len=3, subgroup_cap=DEFAULT_SUBGROUP
     # dcl(A + S) for every S inside C, as an intersection of the fixed-point
     # sets of the elements of Aut(M/A) that fix S
     fixmasks = []
-    for g in G_A.elements(cap=element_cap):
+    for g in G_A.elements():
         mask = 0
         for x in range(M.size):
             if g(x) == x:
@@ -594,7 +608,7 @@ class _SlowParser:
         return self.take()
 
 
-def slow_load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> Structure:
+def slow_load_structure(text: str) -> Structure:
     """The token-object parser that `load_structure` replaced.
 
     It gives the same `Structure`, or the same exception with the same
@@ -626,8 +640,9 @@ def slow_load_structure(text: str, *, max_size: int = DEFAULT_UNIVERSE_CAP) -> S
     p.take("}")
     if not labels:
         p.fail("universe must contain at least one element")
-    if len(labels) > max_size:
-        raise CapError(f"universe has {len(labels)} elements; cap is {max_size}")
+    if len(labels) > structure.DEFAULT_UNIVERSE_CAP:
+        raise CapError(f"universe has {len(labels)} elements; "
+                       f"cap is {structure.DEFAULT_UNIVERSE_CAP}")
     index = {lab: i for i, lab in enumerate(labels)}
 
     rels: list[tuple[str, int]] = []

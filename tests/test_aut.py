@@ -3,6 +3,8 @@ import random
 import pytest
 
 import galbench.aut as aut
+import galbench.perm as perm
+from galbench.corpus import CORPUS
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction,
                           search_automorphism_generators)
@@ -49,6 +51,21 @@ def test_fixing_examples(ex_rs):
     assert automorphism_group_fixing(ex_rs, frozenset()).order == 8
     assert automorphism_group_fixing(ex_rs, {ex_rs.resolve("a")}).order == 2
     assert automorphism_group_fixing(ex_rs, frozenset(range(6))).order == 1
+
+
+def test_fixing_nothing_on_a_fresh_structure_closes_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return close_group(*args, **kwargs)
+
+    monkeypatch.setattr(aut, "close_group", counted)
+    monkeypatch.setattr(perm, "close_group", counted)
+    M = load_structure(CORPUS["EX_RS"].source)
+    G = automorphism_group_fixing(M, frozenset())
+    assert len(calls) == 1
+    assert G is automorphism_group(M) and G.order == 8
 
 
 def test_fixing_is_pointwise_stabilizer(corpus_structure):

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from galbench.cli import run_command
+from galbench.cli import main, run_command
 from galbench.corpus import CORPUS
 
 
@@ -293,6 +295,36 @@ def test_tuple_search_past_its_work_cap_exits_2(tmp_path, capsys):
         "error: tuple search passed 100000 candidates at length 6 (max_len 1000000)\n")
     code, text = run(["code", str(path), "--tuples", "a,e;b,f"])
     assert code == 0 and text == "none (no code of length <= 3)\n"
+
+
+@pytest.mark.parametrize("argv", [["galois", "--base", "", "--top", "ALL"],
+                                  ["verify", "--trials", "2"]], ids=["galois", "verify"])
+def test_subgroup_lattice_past_its_work_cap_exits_2(argv, tmp_path, capsys):
+    """Six points and no relations: Aut is S6, of order 720, under the
+    subgroup cap, but its lattice would take tens of millions of lookups."""
+    path = tmp_path / "s6.txt"
+    path.write_text("structure E { universe = { a, b, c, d, e, f } }\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, text = run(argv[:1] + [str(path)] + argv[1:])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: subgroup lattice passed 3000000 product lookups\n"
+
+
+def test_console_entry_point_exits_with_the_command_code(monkeypatch, capsys):
+    def console(*argv):
+        monkeypatch.setattr(sys, "argv", ["galbench", *argv])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        out, err = capsys.readouterr()
+        assert err == ""
+        return stop.value.code, out
+
+    golden = Path(__file__).parent / "golden" / "galois-EX_RS.out"
+    assert console("galois", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d") == \
+        (1, golden.read_text(encoding="utf-8"))
+    code, out = console("corpus", "list")
+    assert code == 0 and "EX_RS" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 
 import galbench.suite as suite
+from galbench import perm
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction)
 from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
-from galbench.galois import (codes_finite_sets, find_code, multisymmetric_code,
-                             verify_galois_correspondence)
+from galbench.galois import (codes_finite_sets, find_code, is_normal_extension,
+                             multisymmetric_code, verify_galois_correspondence)
 from galbench.perm import (Perm, all_subgroups, close_group, orbit,
                            restrict_to_invariant_set, stabilizer_pointwise,
                            trivial_group)
@@ -20,7 +21,8 @@ from galbench.suite import run_law_suite
 import oracles
 from oracles import (cyclic_join_subgroups, slow_antitone_law, slow_code_is_verified,
                      slow_codes_finite_sets, slow_find_code,
-                     slow_galois_correspondence, two_close_stabilizer)
+                     slow_galois_correspondence, slow_is_normal_extension,
+                     two_close_stabilizer)
 
 
 def cyc(n, *cycles):
@@ -149,16 +151,18 @@ def test_element_table_masks_match_element_filters():
             assert table.setwise(tuples) == sum(1 << i for i in setwise)
 
 
-def test_element_table_is_built_once_and_checks_the_cap_every_time():
+def test_element_table_is_built_once_and_checks_the_cap_every_time(monkeypatch):
     G = NAMED_GROUPS["D6"]()
     table = G.element_table()
-    assert G.element_table(cap=None) is table
-    assert G.element_table(cap=G.order) is table
+    assert G.element_table() is table
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", G.order)
+    assert G.element_table() is table
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 11)
     with pytest.raises(CapError, match="group of order 12 exceeds enumeration cap 11"):
-        G.element_table(cap=11)
+        G.element_table()
     fresh = NAMED_GROUPS["D6"]()
     with pytest.raises(CapError, match="group of order 12 exceeds enumeration cap 11"):
-        fresh.element_table(cap=11)
+        fresh.element_table()
 
 
 # -- the duality check and code searches against their element-list loops ---------
@@ -301,6 +305,30 @@ def test_duality_matches_slow_path_on_generated(generated_structure):
     assert_duality_matches_slow_path(generated_structure)
 
 
+def assert_normality_matches_slow_path(M):
+    """The duality's (base, top) pairs, whose tops are unions of orbits, and
+    seeded random pairs, normal or not (353 and 106 over the corpus and the
+    generated families); a base outside its extension is an error on both
+    paths."""
+    rng = random.Random(M.name)
+    pairs = duality_instances(M)
+    for _ in range(20):
+        A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
+        pairs.append((A, A | frozenset(rng.sample(range(M.size), rng.randint(0, M.size)))))
+    pairs.append((frozenset(range(M.size)), frozenset()))
+    for A, B in pairs:
+        assert_same_outcome(lambda: is_normal_extension(M, A, B),
+                            lambda: slow_is_normal_extension(M, A, B))
+
+
+def test_normality_matches_slow_path_on_corpus(corpus_structure):
+    assert_normality_matches_slow_path(corpus_structure)
+
+
+def test_normality_matches_slow_path_on_generated(generated_structure):
+    assert_normality_matches_slow_path(generated_structure)
+
+
 def test_ex_rs_failure_report_matches_slow_path(ex_rs):
     top = ex_rs.ids(["a", "b", "c", "d"])
     report = verify_galois_correspondence(ex_rs, frozenset(), top)
@@ -309,19 +337,19 @@ def test_ex_rs_failure_report_matches_slow_path(ex_rs):
                         lambda: slow_galois_correspondence(ex_rs, frozenset(), top))
 
 
-def test_duality_still_caps_the_base_group(ex_rs):
+def test_duality_still_caps_the_base_group(ex_rs, monkeypatch):
     # the relative group has order 4, Aut(M/A) order 8: the cap applies to
     # the latter, as the element list of Aut(M/A) did
     top = ex_rs.ids(["a", "b", "c", "d"])
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 4)
     for check in (verify_galois_correspondence, slow_galois_correspondence):
         with pytest.raises(CapError, match="group of order 8 exceeds enumeration cap 4"):
-            check(ex_rs, frozenset(), top, element_cap=4)
+            check(ex_rs, frozenset(), top)
     M = cycle_union(2, 4)
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 7)
     assert_same_outcome(
-        lambda: verify_galois_correspondence(M, frozenset(), range(M.size),
-                                             element_cap=7),
-        lambda: slow_galois_correspondence(M, frozenset(), range(M.size),
-                                           element_cap=7))
+        lambda: verify_galois_correspondence(M, frozenset(), range(M.size)),
+        lambda: slow_galois_correspondence(M, frozenset(), range(M.size)))
 
 
 # -- the antitone law against its closed-subgroup version ---------------------------
@@ -368,7 +396,7 @@ def random_tuple_sets(M, rng, count):
                for _ in range(rng.randint(1, 3))}
 
 
-def assert_codes_match_slow_path(M):
+def assert_codes_match_slow_path(M, monkeypatch):
     rng = random.Random(M.name)
     for F in random_tuple_sets(M, rng, 12):
         for max_len in (0, 2):
@@ -379,22 +407,22 @@ def assert_codes_match_slow_path(M):
     order = automorphism_group(M).order
     if order > 1:
         F = [(0,), (1,)]
-        assert_same_outcome(lambda: find_code(M, F, element_cap=order - 1),
-                            lambda: slow_find_code(M, F, element_cap=order - 1))
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", order - 1)
+        assert_same_outcome(lambda: find_code(M, F), lambda: slow_find_code(M, F))
 
 
-def test_code_searches_match_slow_path_on_corpus(corpus_structure):
-    assert_codes_match_slow_path(corpus_structure)
+def test_code_searches_match_slow_path_on_corpus(corpus_structure, monkeypatch):
+    assert_codes_match_slow_path(corpus_structure, monkeypatch)
 
 
-def test_code_searches_match_slow_path_on_generated(generated_structure):
-    assert_codes_match_slow_path(generated_structure)
+def test_code_searches_match_slow_path_on_generated(generated_structure, monkeypatch):
+    assert_codes_match_slow_path(generated_structure, monkeypatch)
 
 
 @pytest.mark.parametrize("make", [lambda: galois_field(2, (1, 1, 0, 1)),
                                   lambda: galois_field(3, (1, 0, 1))],
                          ids=["GF8", "GF9"])
-def test_multisymmetric_check_matches_slow_path(make, gf16):
+def test_multisymmetric_check_matches_slow_path(make, gf16, monkeypatch):
     for M in (make(), gf16):
         rng = random.Random(M.name)
         table = automorphism_group(M).element_table()
@@ -409,5 +437,7 @@ def test_multisymmetric_check_matches_slow_path(make, gf16):
                 points = sum(1 << e for e in set(cand))
                 assert (table.setwise(F) == table.pointwise(points)) == \
                     slow_code_is_verified(M, F, cand)
-        with pytest.raises(CapError, match="exceeds enumeration cap"):
-            multisymmetric_code(M, [(1,)], max_elements=1)
+        with monkeypatch.context() as patch, \
+                pytest.raises(CapError, match="exceeds enumeration cap"):
+            patch.setattr(perm, "DEFAULT_ELEMENT_CAP", 1)
+            multisymmetric_code(M, [(1,)])

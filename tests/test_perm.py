@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galbench import perm
 from galbench.aut import automorphism_group
 from galbench.errors import CapError, GroupError, InternalCheckError
 from galbench.perm import (Perm, all_subgroups, close_group, is_normal_subgroup,
@@ -92,14 +93,15 @@ def test_membership_sound_and_complete():
         assert G.contains(p) == (p in elems)
 
 
-def test_elements_enumeration():
+def test_elements_enumeration(monkeypatch):
     G = close_group([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))])
     elems = G.elements()
     assert len(elems) == 24
     assert len(set(elems)) == 24
     assert elems == sorted(elems)
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(CapError):
-        G.elements(cap=10)
+        G.elements()
 
 
 def test_corpus_groups_match_naive_closure(corpus_structure):
@@ -251,7 +253,7 @@ def test_orbit_range_check():
 
 def test_stabilizer_empty_tuple_is_whole_group():
     G = close_group([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))])
-    assert stabilizer_pointwise(G, ()).order == G.order
+    assert stabilizer_pointwise(G, ()) is G
 
 
 def test_stabilizer_of_three_points_in_s4():
@@ -404,10 +406,36 @@ def test_subgroups_are_valid_and_lagrange():
     assert len(keys) == len(subs)
 
 
-def test_subgroup_cap():
+def test_subgroup_cap(monkeypatch):
     G = close_group([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))])
+    monkeypatch.setattr(perm, "DEFAULT_SUBGROUP_CAP", 10)
     with pytest.raises(CapError):
-        all_subgroups(G, cap=10)
+        all_subgroups(G)
+
+
+def fresh_lattice(gens):
+    """The subgroup lattice of a newly closed group, and the product
+    lookups it made."""
+    table = close_group(gens).element_table()
+    return table.subgroups(), table.lookups
+
+
+def test_lattice_work_is_members_times_generators_per_join():
+    # C8 wr C2 on two 8-cycles: Aut of two disjoint directed 8-cycles
+    gens = [cyc(16, tuple(range(8))), cyc(16, *[(i, i + 8) for i in range(8)])]
+    lattice, lookups = fresh_lattice(gens)
+    assert len(lattice) == 100 and lookups == 656_752
+
+
+def test_lattice_work_cap(monkeypatch):
+    gens = [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))]
+    lattice, lookups = fresh_lattice(gens)
+    monkeypatch.setattr(perm, "LATTICE_WORK_CAP", lookups)
+    assert fresh_lattice(gens) == (lattice, lookups)
+    monkeypatch.setattr(perm, "LATTICE_WORK_CAP", lookups - 1)
+    with pytest.raises(CapError) as err:
+        fresh_lattice(gens)
+    assert str(err.value) == f"subgroup lattice passed {lookups - 1} product lookups"
 
 
 # -- normality -------------------------------------------------------------------------

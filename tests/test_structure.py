@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from galbench import structure
 from galbench.corpus import CORPUS, corpus_names, load_corpus
 from galbench.errors import CapError, DslError, StructureError
 from galbench.structure import dump_structure, eval_relation, load_structure
@@ -117,12 +118,12 @@ def test_comments_and_whitespace_insensitivity():
     assert load_structure(compact) == load_structure(spread)
 
 
-def test_universe_cap():
+def test_universe_cap(monkeypatch):
     labels = ", ".join(f"e{i}" for i in range(17))
     with pytest.raises(CapError):
         load_structure(f"structure T {{ universe = {{ {labels} }} }}")
-    assert load_structure(f"structure T {{ universe = {{ {labels} }} }}",
-                          max_size=17).size == 17
+    monkeypatch.setattr(structure, "DEFAULT_UNIVERSE_CAP", 17)
+    assert load_structure(f"structure T {{ universe = {{ {labels} }} }}").size == 17
 
 
 def test_arity_past_int_conversion_limit_is_a_dsl_error():
@@ -190,26 +191,26 @@ def _edit(rng: random.Random, text: str) -> str:
     return text
 
 
-def _outcome(load, text: str, max_size: int):
+def _outcome(load, text: str):
     try:
-        return load(text, max_size=max_size)
+        return load(text)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
 
 
-def test_loader_matches_the_token_object_parser_on_random_edits():
+def test_loader_matches_the_token_object_parser_on_random_edits(monkeypatch):
     rng = random.Random(20261018)
     bases = [entry.source for name, entry in CORPUS.items() if name != "GF16"]
     bases += [dump_structure(load_corpus(name)) for name in ("EX_RS", "C5", "GF4")]
     bases += [_generated_text(rng) for _ in range(40)]
     for text in bases:
-        assert _outcome(load_structure, text, 16) == _outcome(slow_load_structure, text, 16)
+        assert _outcome(load_structure, text) == _outcome(slow_load_structure, text)
     outcomes = set()
     for _ in range(20_000):
         text = _edit(rng, rng.choice(bases))
-        max_size = rng.choice((16, 3))
-        got = _outcome(load_structure, text, max_size)
-        assert got == _outcome(slow_load_structure, text, max_size), repr(text)
+        monkeypatch.setattr(structure, "DEFAULT_UNIVERSE_CAP", rng.choice((16, 3)))
+        got = _outcome(load_structure, text)
+        assert got == _outcome(slow_load_structure, text), repr(text)
         outcomes.add(got[0] if isinstance(got, tuple) else "ok")
     assert outcomes == {"ok", DslError, CapError}
 
@@ -219,4 +220,4 @@ def test_loader_matches_the_token_object_parser_on_gf16_edits():
     source = CORPUS["GF16"].source
     for _ in range(60):
         text = _edit(rng, source)
-        assert _outcome(load_structure, text, 16) == _outcome(slow_load_structure, text, 16)
+        assert _outcome(load_structure, text) == _outcome(slow_load_structure, text)
