@@ -43,6 +43,11 @@ DEFAULT_MAX_LEN = 3
 #: 16-element universe tries at most 1 + 16 + 256 + 4096.
 TUPLE_SEARCH_CAP = 100_000
 
+#: Most point images one `codes_finite_sets` call computes: each orbit
+#: representative of a set costs |Aut(M)| times its size, and `find_code`'s
+#: setwise scan of that representative costs as much again.
+CODES_WORK_CAP = 1_000_000
+
 
 def _candidate_tuples(pool: Sequence[int], shortest: int, longest: int):
     """Tuples over `pool` by ascending length, then in lexicographic order.
@@ -62,6 +67,25 @@ def _candidate_tuples(pool: Sequence[int], shortest: int, longest: int):
                 raise CapError(f"tuple search passed {TUPLE_SEARCH_CAP} candidates "
                                f"at length {length} (max_len {longest})")
             yield cand
+
+
+# -- rendering --------------------------------------------------------------------
+
+
+def fmt_set(names: Iterable[str]) -> str:
+    """A set written by its members' names: ``{a, b}``."""
+    return "{" + ", ".join(names) + "}"
+
+
+def fmt_tuple(M: Structure, t: Iterable[int]) -> str:
+    """A tuple of elements by their names: ``(a, b)``."""
+    return "(" + ", ".join(M.render_tuple(t)) + ")"
+
+
+def fmt_group(generators: Sequence[str]) -> str:
+    """A group by its generators in cycle notation: ``<(0 1), (2 3)>``; the
+    trivial group is ``<()>``."""
+    return "<" + (", ".join(generators) or "()") + ">"
 
 
 # -- closures ---------------------------------------------------------------------
@@ -143,6 +167,16 @@ def is_irreducible_formula(M: Structure, f: fm.Formula, b: Sequence[int],
 # -- finite extensions ----------------------------------------------------------------
 
 
+def _extension(M: Structure, A: Iterable[int],
+               B: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """Check A as the base set and B as the extension set, with A <= B."""
+    A = M.check_subset(A, "base set")
+    B = M.check_subset(B, "extension set")
+    if not A <= B:
+        raise StructureError("base set must be contained in the extension")
+    return A, B
+
+
 def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
                    max_len: int = DEFAULT_MAX_LEN) -> tuple[int, ...] | None:
     """A shortest tuple over B whose entries, together with A, define all of B.
@@ -150,10 +184,7 @@ def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
     Lengths 0..max_len are tried in ascending lexicographic order; None means
     no generating tuple exists within the bound (bounded non-existence).
     """
-    A = M.check_subset(A, "base set")
-    B = M.check_subset(B, "extension set")
-    if not A <= B:
-        raise StructureError("base set must be contained in the extension")
+    A, B = _extension(M, A, B)
     if B <= dcl(M, A):
         return ()
     for cand in _candidate_tuples(sorted(B), 1, max_len):
@@ -184,10 +215,7 @@ def is_normal_extension(M: Structure, A: Iterable[int], B: Iterable[int]) -> boo
     the orbits of its elements exactly when Aut(M/A) maps B onto itself,
     which its generators decide.
     """
-    A = M.check_subset(A, "base set")
-    B = M.check_subset(B, "extension set")
-    if not A <= B:
-        raise StructureError("base set must be contained in the extension")
+    A, B = _extension(M, A, B)
     return _is_invariant(automorphism_group_fixing(M, A), B)
 
 
@@ -200,10 +228,7 @@ def is_splitting_extension(M: Structure, A: Iterable[int], B: Iterable[int],
     singletons, pairs, ...); returns (True, b) where the orbit of b stays in B
     and B is definable from A plus that orbit, else (False, None).
     """
-    A = M.check_subset(A, "base set")
-    B = M.check_subset(B, "extension set")
-    if not A <= B:
-        raise StructureError("base set must be contained in the extension")
+    A, B = _extension(M, A, B)
     G = automorphism_group_fixing(M, A)
     for cand in _candidate_tuples(sorted(B), 0, max_len):
         orb = orbit(G, cand)
@@ -224,10 +249,7 @@ def extension_aut_order(M: Structure, B: Iterable[int], A: Iterable[int],
     their number equals the number of orbit points of a generating tuple that
     stay inside B, which is what is returned.
     """
-    A = M.check_subset(A, "base set")
-    B = M.check_subset(B, "extension set")
-    if not A <= B:
-        raise StructureError("base set must be contained in the extension")
+    A, B = _extension(M, A, B)
     G = automorphism_group_fixing(M, A)
     if _is_invariant(G, B):
         return relative_restriction(M, B, A).image.order
@@ -360,16 +382,22 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
     Iterates one representative per automorphism orbit of sets (an image of a
     coded set is coded by the image tuple, so orbits stand or fall together)
     and reports each representative lacking a code within the length bound.
+    Each representative is counted as |Aut(M)| times its size point images
+    before it is mapped; past `CODES_WORK_CAP` the check raises `CapError`.
     """
     if max_set_size < 1 or max_len < 0:
         raise StructureError("caps must be positive")
     elems = automorphism_group(M).element_table().elements
     reps: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
+    work = 0
     for size in range(1, max_set_size + 1):
         for combo in combinations(range(M.size), size):
             if combo in seen:
                 continue
+            work += len(elems) * size
+            if work > CODES_WORK_CAP:
+                raise CapError(f"codes report passed {CODES_WORK_CAP} point images")
             images = {tuple(sorted(g(e) for e in combo)) for g in elems}
             seen.update(images)
             reps.append(min(images))
@@ -544,14 +572,6 @@ class DualityFailure:
         }
 
 
-def _render_group(generators: Sequence[str]) -> str:
-    return "<" + (", ".join(generators) or "()") + ">"
-
-
-def _render_set(M: Structure, B: Iterable[int]) -> str:
-    return "{" + ", ".join(M.render_set(B)) + "}"
-
-
 @dataclass(frozen=True)
 class GaloisReport:
     """Structured verdict of checking the subgroup/intermediate-set duality."""
@@ -660,9 +680,9 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
             closure = fix_of_set(M, C, A, fixed)
             failures.append(DualityFailure(
                 kind="subgroup",
-                subject=_render_group(gen_strings),
+                subject=fmt_group(gen_strings),
                 subject_order=mask.bit_count(),
-                closure=_render_group(closure.generator_strings()),
+                closure=fmt_group(closure.generator_strings()),
                 closure_order=closure.order,
             ))
 
@@ -685,9 +705,9 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
             closure = elements_of(closure_mask)
             failures.append(DualityFailure(
                 kind="set",
-                subject=_render_set(M, B),
+                subject=fmt_set(M.render_set(B)),
                 subject_order=len(B),
-                closure=_render_set(M, closure),
+                closure=fmt_set(M.render_set(closure)),
                 closure_order=len(closure),
             ))
 
@@ -703,9 +723,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
             F = {tuple(points[table.elements[i].images[p]] for p in gen_positions)
                  for i in _bits(mask)}
             if find_code(M, F, max_len) is None:
-                coding_failures.append(
-                    "{" + ", ".join("(" + ", ".join(M.render_tuple(t)) + ")"
-                                    for t in sorted(F)) + "}")
+                coding_failures.append(fmt_set(fmt_tuple(M, t) for t in sorted(F)))
         coding_ok = not coding_failures
 
     return GaloisReport(
@@ -882,7 +900,7 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
     if splits:
         checks.append(TowerCheck(
             "splitting_mid_is_normal", n_ba,
-            f"witness orbit of ({', '.join(M.render_tuple(witness))}), "
+            f"witness orbit of {fmt_tuple(M, witness)}, "
             f"mid normal = {n_ba}"))
     else:
         checks.append(TowerCheck(

@@ -28,8 +28,8 @@ from galbench.errors import (CapError, DslError, HypothesisError,
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
-                             _render_group, _render_set, dcl, find_generator,
-                             fix_of_set, fix_of_subgroup)
+                             dcl, find_generator, fix_of_set, fix_of_subgroup,
+                             fmt_group, fmt_set)
 from galbench.perm import Perm, all_subgroups, close_group, orbit
 from galbench.structure import Signature, Structure, is_element_name, is_identifier
 
@@ -395,9 +395,9 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
         pairs.append((H.generator_strings(), M.render_set(fixed)))
         if not closure.equals(H):
             failures.append(DualityFailure(
-                kind="subgroup", subject=_render_group(H.generator_strings()),
+                kind="subgroup", subject=fmt_group(H.generator_strings()),
                 subject_order=H.order,
-                closure=_render_group(closure.generator_strings()),
+                closure=fmt_group(closure.generator_strings()),
                 closure_order=closure.order))
 
     # dcl(A + S) for every S inside C, as an intersection of the fixed-point
@@ -432,8 +432,8 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
         closure = fix_of_subgroup(M, C, fix_of_set(M, C, A, B))
         if closure != B:
             failures.append(DualityFailure(
-                kind="set", subject=_render_set(M, B), subject_order=len(B),
-                closure=_render_set(M, closure), closure_order=len(closure)))
+                kind="set", subject=fmt_set(M.render_set(B)), subject_order=len(B),
+                closure=fmt_set(M.render_set(closure)), closure_order=len(closure)))
 
     gen = find_generator(M, A, C, max_len)
     coding_failures = []

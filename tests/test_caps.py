@@ -66,6 +66,8 @@ LOWERED = [
      "subgroup lattice passed 1 product lookups"),
     (galois, "TUPLE_SEARCH_CAP", 1, ["generator", FILE, "--base", "", "--top", "ALL"],
      "tuple search passed 1 candidates at length 1 (max_len 3)"),
+    (galois, "CODES_WORK_CAP", 95, ["codes-report", FILE],
+     "codes report passed 95 point images"),
     (formula, "EVAL_STEP_CAP", 5, ["eval", FILE, "A x1. A x2. x1 = x1"],
      "formula evaluation passed 5 assignments"),
     (formula, "MAX_DEPTH", 2, ["eval", FILE, "~~~R(a, b)"],

@@ -1,13 +1,18 @@
+import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from galbench import cli
 from galbench.cli import main, run_command
 from galbench.corpus import CORPUS
 
@@ -176,6 +181,9 @@ def test_byte_determinism():
     ["code", "corpus:EX_RS", "--tuples", "a", "--max-len", "-1"],
     ["codes-report", "corpus:GF4", "--max-set-size", "0"],
     ["verify", "corpus:C5", "--trials", "many"],
+    ["aut", "x" * 300],  # a file name past NAME_MAX: even the existence test fails
+    ["aut", "corpus:EX_RS", "--seed", "1"],
+    ["dcl", "corpus:EX_RS", "--set", "a", "--max-len", "2"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     code, _ = run(argv)
@@ -216,6 +224,114 @@ def test_non_utf8_structure_file_exits_2(tmp_path, capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not valid UTF-8" in err
+
+
+def test_unreadable_structure_file_exits_2(tmp_path, monkeypatch, capsys):
+    # File modes do not stop root, so the refusal is simulated.
+    path = tmp_path / "locked.txt"
+    path.write_text(CORPUS["EX_RS"].source, encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, text = run(["aut", str(path)])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        f"error: cannot read structure file {str(path)!r}: Permission denied\n"
+
+
+# -- the option set: each command declares exactly the options it reads -----------
+
+# One answering command line per subcommand, passing every option it declares.
+FULL_ARGV = {
+    "corpus": ["corpus", "list", "--format", "json"],
+    "parse": ["parse", "corpus:EX_RS", "R(x,a)", "--format", "json"],
+    "eval": ["eval", "corpus:EX_RS", "R(a,y)", "--env", "y=b", "--format", "json"],
+    "aut": ["aut", "corpus:EX_RS", "--fixing", "a", "--format", "json"],
+    "dcl": ["dcl", "corpus:EX_RS", "--set", "a", "--format", "json"],
+    "acl": ["acl", "corpus:EX_RS", "--set", "a", "--format", "json"],
+    "orbit": ["orbit", "corpus:EX_RS", "--tuple", "a", "--base", "", "--format", "json"],
+    "degree": ["degree", "corpus:GF16", "--base", "0,1", "--top", "ALL", "--max-len", "2",
+               "--format", "json"],
+    "irr-check": ["irr-check", "corpus:EX_RS", "E z. R(y,z)", "--tuple", "a", "--base", "",
+                  "--format", "json"],
+    "normal": ["normal", "corpus:EX_RS", "--base", "", "--top", "a,b", "--format", "json"],
+    "splitting": ["splitting", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d",
+                  "--max-len", "2", "--format", "json"],
+    "generator": ["generator", "corpus:GF16", "--base", "0,1", "--top", "ALL",
+                  "--max-len", "2", "--format", "json"],
+    "code": ["code", "corpus:EX_RS", "--tuples", "a;b", "--max-len", "2", "--format", "json"],
+    "codes-report": ["codes-report", "corpus:GF4", "--max-set-size", "1", "--max-len", "2",
+                     "--format", "json"],
+    "msym-code": ["msym-code", "corpus:GF4", "--tuples", "w;w2", "--format", "json"],
+    "galois": ["galois", "corpus:C5", "--base", "", "--top", "ALL", "--max-len", "2",
+               "--format", "json"],
+    "tower": ["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL", "--max-len", "2",
+              "--format", "json"],
+    "verify": ["verify", "corpus:RIGID3", "--trials", "2", "--seed", "1", "--max-len", "2",
+               "--format", "json"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    [commands] = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _reads_of_args(fn) -> set[str]:
+    """The `args.<name>` attributes a function reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def _declared_options(p: argparse.ArgumentParser) -> set[str]:
+    return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_declares_exactly_the_destinations_its_handler_reads():
+    # run_command reads the command name, the handler, the output format and
+    # (for every command but corpus) the structure; `command` is the
+    # dispatcher's own destination, which the closure handler reads as its kind.
+    assert _reads_of_args(cli.run_command) == {"command", "fn", "format", "structure"}
+    subparsers = _subparsers()
+    assert set(subparsers) == set(FULL_ARGV)
+    for name, p in subparsers.items():
+        declared = {a.dest for a in p._actions} - {"help"}
+        read = _reads_of_args(p.get_default("fn")) - {"command"}
+        read |= {"format"} if name == "corpus" else {"format", "structure"}
+        assert declared == read, name
+
+
+@pytest.mark.parametrize("name", sorted(FULL_ARGV))
+def test_every_declared_option_is_accepted(name, capsys):
+    argv = FULL_ARGV[name]
+    assert {a for a in argv if a.startswith("--")} == _declared_options(_subparsers()[name])
+    code, text = run(argv)
+    assert code in (0, 1)
+    assert json.loads(text) and capsys.readouterr().err == ""
+
+
+REMOVED = [(name, flag) for name in sorted(FULL_ARGV) for flag in ("--max-len", "--seed")
+           if flag not in FULL_ARGV[name]]
+
+
+def test_max_len_and_seed_are_declared_only_where_read():
+    assert len(REMOVED) == 27
+    assert sorted(name for name in FULL_ARGV if "--max-len" in FULL_ARGV[name]) == [
+        "code", "codes-report", "degree", "galois", "generator", "splitting", "tower",
+        "verify"]
+    assert [name for name in FULL_ARGV if "--seed" in FULL_ARGV[name]] == ["verify"]
+
+
+@pytest.mark.parametrize("name, flag", REMOVED, ids=[f"{n}{f}" for n, f in REMOVED])
+def test_an_undeclared_option_exits_2(name, flag, capsys):
+    code, text = run(FULL_ARGV[name] + [flag, "1"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
 
 
 @pytest.mark.parametrize("command", ["parse", "eval"])
@@ -309,6 +425,22 @@ def test_subgroup_lattice_past_its_work_cap_exits_2(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: subgroup lattice passed 3000000 product lookups\n"
+
+
+def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
+    """Seven unrelated points plus a rigid directed 7-path: Aut is S7, and its
+    1023 orbits of sets cost 5040 times their size each, about 36 million
+    point images (48 s without the cap)."""
+    points = [f"u{i}" for i in range(7)] + [f"p{i}" for i in range(7)]
+    arcs = ", ".join(f"(p{i},p{i + 1})" for i in range(6))
+    path = tmp_path / "s7_path.txt"
+    path.write_text(f"structure S7P {{\n  universe = {{ {', '.join(points)} }}\n"
+                    f"  rel P/2 = {{ {arcs} }}\n}}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, text = run(["codes-report", str(path), "--max-set-size", "16"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: codes report passed 1000000 point images\n"
 
 
 def test_console_entry_point_exits_with_the_command_code(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Exact output of the README example commands.
+"""Exact output of the README example commands and of every other subcommand.
 
 Each case pins the exit code and every byte written to the output stream;
 the expected text is in tests/golden/<name>.out.  A change that is meant to
@@ -37,6 +37,24 @@ CASES = [
     ("code-EX_RS", 0, ["code", "corpus:EX_RS", "--tuples", "a;b"]),
     ("msym-code-GF4", 0, ["msym-code", "corpus:GF4", "--tuples", "w;w2"]),
 ]
+
+# Subcommands pinned in both output formats, with the README's arguments
+# where the README has an example (parse and acl have none).
+BOTH_FORMATS = [
+    ("corpus-list", 0, ["corpus", "list"]),
+    ("parse-EX_RS", 0, ["parse", "corpus:EX_RS", "E y. R(x,y) & S(y,a)"]),
+    ("eval-EX_RS", 0, ["eval", "corpus:EX_RS", "A x. E y. R(x,y)"]),
+    ("acl-EX_RS", 0, ["acl", "corpus:EX_RS", "--set", "a"]),
+    ("orbit-GF16", 0, ["orbit", "corpus:GF16", "--tuple", "w", "--base", "0,1"]),
+    ("degree-GF16", 0, ["degree", "corpus:GF16", "--base", "0,1", "--top", "ALL"]),
+    ("irr-check-EX_RS", 0, ["irr-check", "corpus:EX_RS", "E z. R(y,z)", "--tuple", "a",
+                            "--base", ""]),
+    ("normal-EX_RS", 0, ["normal", "corpus:EX_RS", "--base", "", "--top", "a,b"]),
+    ("splitting-EX_RS", 0, ["splitting", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d"]),
+]
+for name, exit_code, argv in BOTH_FORMATS:
+    CASES.append((name, exit_code, argv))
+    CASES.append((f"{name}-json", exit_code, argv + ["--format", "json"]))
 
 
 @pytest.mark.parametrize("name, exit_code, argv", CASES, ids=[c[0] for c in CASES])
