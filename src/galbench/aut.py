@@ -1,12 +1,24 @@
 """Automorphism groups of finite relational structures.
 
-The engine is a backtracking search over partial bijections, pruned by a
+The engine searches level by level over the base points, deepest level
+first, and emits a strong generating set, so large symmetric groups come out
+as a few generators instead of an element list; the group's order is the
+product of the per-level orbit sizes.  Candidate maps are pruned by a
 stable vertex coloring (equitable refinement: each element is signed by the
 colors of its tuples, its own positions marked) and by incremental
-forward/backward table checks.  It emits a strong generating set level by
-level, so large symmetric groups come out as a few generators instead of an
-element list, and returns the group's order as the product of its per-level
-orbit sizes.
+forward/backward table checks.
+
+Each candidate x -> y is settled in two parts.  Existence: a backtrack
+assigns the unmapped elements in breadth-first order from the mapped ones
+over the Gaifman graph (two elements are neighbours when they share a
+tuple), so each assignment is checked against mapped neighbours at once and
+draws its image from the neighbours of its parent's image.  Canonical form:
+the automorphism found is replaced by the lex-least element of its coset of
+the deeper levels' group, read off their Schreier vectors one base point at
+a time (Seress, *Permutation Group Algorithms*, 2003).  That element is the
+first leaf of a backtrack over positions 0..n-1 with ascending images, so
+the generators do not depend on the order in which the existence search
+assigns elements.
 
 Pointwise stabilizers, and with them every `Aut(M/A)`, are derived from the
 full group's stabilizer chain rather than re-searched; the two routes agree
@@ -15,13 +27,22 @@ and the test suite cross-checks them.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import NotInvariantError, StructureError
+from .errors import CapError, NotInvariantError, StructureError
 from .perm import (Perm, PermGroup, Restriction, close_group,
                    restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
+
+#: Most consistency checks (one candidate image tried for one element) one
+#: automorphism search makes before it stops with `CapError`.  The largest
+#: search in the benchmark makes 2,643.
+SEARCH_WORK_CAP = 500_000
+
+#: A Schreier vector: each orbit point maps to the images of the generator
+#: that first reached it, the base point to None.
+_Vector = dict[int, tuple[int, ...] | None]
 
 #: Per element, its (relation index, table, tuple) entries.
 _Incidence = list[list[tuple[int, frozenset, tuple[int, ...]]]]
@@ -63,6 +84,35 @@ def _stable_colors(M: Structure, fixed: frozenset[int],
         count = len(palette)
 
 
+def _walk(neighbours: Callable[[int], list[int]], n: int,
+          mapped: Iterable[int]) -> list[tuple[int, int]]:
+    """The unmapped elements of 0..n-1 in breadth-first order from the mapped
+    ones, each with the element it was reached from; an unreached component
+    starts at its smallest element, reached from -1."""
+    queue = sorted(mapped)
+    seen = [False] * n
+    for e in queue:
+        seen[e] = True
+    out: list[tuple[int, int]] = []
+    head = start = 0
+    while len(queue) < n:
+        if head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in neighbours(u):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+                    out.append((v, u))
+        else:
+            while seen[start]:
+                start += 1
+            seen[start] = True
+            queue.append(start)
+            out.append((start, -1))
+    return out
+
+
 def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
                                    ) -> tuple[list[Perm], int]:
     """Generators of the group of automorphisms fixing `fixed` pointwise, and
@@ -72,16 +122,34 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
     resulting generators sorted by image tuple.  Each level ends with the
     whole orbit of its base point under the stabilizer of the points before
     it, so the product of those orbit sizes is the order.
+
+    Levels run deepest first, and each candidate x -> y of level i is
+    settled in two parts.  Existence: a backtrack assigns the other elements
+    in breadth-first order over the Gaifman graph from the mapped ones, each
+    image drawn from the neighbours of its parent's image and checked
+    against its mapped neighbours at once.  Canonical form: the automorphism
+    g found is replaced by the lex-least element of its coset g·G_{i+1},
+    read off the deeper levels' Schreier vectors by mapping each later base
+    point to the least image it can reach.  The reported generator is the
+    first automorphism a backtrack over positions 0..n-1 with ascending
+    images would reach, so it does not depend on the order of assignment.
+    Past `SEARCH_WORK_CAP` consistency checks the search raises `CapError`.
     """
     fixed = M.check_subset(fixed, "fixed set")
     n = M.size
     touch = _incidence(M)
     colors = _stable_colors(M, fixed, touch)
+    cap = SEARCH_WORK_CAP
+    checks = 0
 
     img = [-1] * n
     pre = [-1] * n
 
     def consistent(x: int, y: int) -> bool:
+        nonlocal checks
+        checks += 1
+        if checks > cap:
+            raise CapError(f"automorphism search passed {cap} consistency checks")
         if colors[x] != colors[y]:
             return False
         for _, table, t in touch[x]:
@@ -106,44 +174,71 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
                 return False
         return True
 
-    def extend(cursor: int) -> Perm | None:
-        x = cursor
-        while x < n and img[x] >= 0:
-            x += 1
-        if x == n:
-            return Perm(img)
-        for y in range(n):
+    near: list[list[int] | None] = [None] * n
+
+    def neighbours(e: int) -> list[int]:
+        """The Gaifman graph's neighbours of e, ascending, built on first use."""
+        got = near[e]
+        if got is None:
+            found = set()
+            for _, _, t in touch[e]:
+                found.update(t)
+            found.discard(e)
+            got = near[e] = sorted(found)
+        return got
+
+    walk: list[tuple[int, int]] | None = None  # the level's, at its first candidate
+
+    def extend(k: int) -> bool:
+        if k == len(walk):
+            return True
+        x, parent = walk[k]
+        for y in (range(n) if parent < 0 else neighbours(img[parent])):
             if pre[y] >= 0 or not consistent(x, y):
                 continue
             img[x] = y
             pre[y] = x
-            found = extend(x + 1)
-            if found is not None:
-                return found
+            if extend(k + 1):
+                return True
             img[x] = -1
             pre[y] = -1
-        return None
+        return False
 
     base = [x for x in range(n) if x not in fixed]
     gens: list[Perm] = []
+    schreier: list[_Vector] = [{}] * len(base)  # per level, once it is complete
 
-    def reach(x0: int) -> set[int]:
-        seen = {x0}
+    def reach(x0: int) -> _Vector:
+        seen: _Vector = {x0: None}
         frontier = [x0]
         while frontier:
             p = frontier.pop()
             for g in gens:
-                q = g(p)
+                q = g.images[p]
                 if q not in seen:
-                    seen.add(q)
+                    seen[q] = g.images
                     frontier.append(q)
         return seen
+
+    def lex_least(g: list[int], i: int) -> list[int]:
+        for j in range(i + 1, len(base)):
+            vector = schreier[j]
+            if len(vector) == 1:
+                continue
+            d = min(vector, key=g.__getitem__)
+            s = vector[d]
+            while s is not None:
+                g = [g[q] for q in s]
+                d = s.index(d)
+                s = vector[d]
+        return g
 
     order = 1
     for i in reversed(range(len(base))):
         x = base[i]
         prefix = fixed.union(base[:i])
         known = reach(x)
+        walk = None
         for y in range(n):
             if y == x or y in known or y in prefix or colors[y] != colors[x]:
                 continue
@@ -154,10 +249,12 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
                 continue
             img[x] = y
             pre[y] = x
-            found = extend(0)
-            if found is not None:
-                gens.append(found)
+            if walk is None:
+                walk = _walk(neighbours, n, prefix | {x})
+            if extend(0):
+                gens.append(Perm(lex_least(img, i)))
                 known = reach(x)
+        schreier[i] = known
         order *= len(known)
         for e in range(n):
             img[e] = -1

@@ -44,8 +44,8 @@ DEFAULT_MAX_LEN = 3
 TUPLE_SEARCH_CAP = 100_000
 
 #: Most point images one `codes_finite_sets` call computes: each orbit
-#: representative of a set costs |Aut(M)| times its size, and `find_code`'s
-#: setwise scan of that representative costs as much again.
+#: representative of a set costs |Aut(M)| times its size, once for its orbit
+#: and its setwise stabilizer together.
 CODES_WORK_CAP = 1_000_000
 
 
@@ -335,7 +335,12 @@ def find_code(M: Structure, F: Iterable[Sequence[int]],
     if len(lengths) > 1:
         raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
     table = automorphism_group(M).element_table()
-    setwise = table.setwise(tuples)
+    return _code_for_setwise(table, table.setwise(tuples), max_len)
+
+
+def _code_for_setwise(table: perm.ElementTable, setwise: int,
+                      max_len: int) -> tuple[int, ...] | None:
+    """`find_code`'s search, given the setwise stabilizer as a table mask."""
     target = setwise.bit_count()
     candidates = list(_bits(table.fixed(setwise)))
     orders: dict[int, int] = {}
@@ -382,13 +387,16 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
     Iterates one representative per automorphism orbit of sets (an image of a
     coded set is coded by the image tuple, so orbits stand or fall together)
     and reports each representative lacking a code within the length bound.
-    Each representative is counted as |Aut(M)| times its size point images
-    before it is mapped; past `CODES_WORK_CAP` the check raises `CapError`.
+    Each representative is mapped once under every element of Aut(M), which
+    gives its orbit and its setwise stabilizer together; it is counted as
+    |Aut(M)| times its size point images before it is mapped, and past
+    `CODES_WORK_CAP` the check raises `CapError`.
     """
     if max_set_size < 1 or max_len < 0:
         raise StructureError("caps must be positive")
-    elems = automorphism_group(M).element_table().elements
-    reps: list[tuple[int, ...]] = []
+    table = automorphism_group(M).element_table()
+    elems = table.elements
+    reps: list[tuple[tuple[int, ...], int]] = []  # (representative, setwise mask)
     seen: set[tuple[int, ...]] = set()
     work = 0
     for size in range(1, max_set_size + 1):
@@ -398,13 +406,17 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
             work += len(elems) * size
             if work > CODES_WORK_CAP:
                 raise CapError(f"codes report passed {CODES_WORK_CAP} point images")
-            images = {tuple(sorted(g(e) for e in combo)) for g in elems}
-            seen.update(images)
-            reps.append(min(images))
-    failures = []
-    for rep in reps:
-        if find_code(M, [(e,) for e in rep], max_len) is None:
-            failures.append(M.render_set(rep))
+            # combinations come in lexicographic order, so the first one of
+            # its orbit met is the orbit's least member, its representative
+            setwise = 0
+            for k, g in enumerate(elems):
+                image = tuple(sorted(g(e) for e in combo))
+                seen.add(image)
+                if image == combo:
+                    setwise |= 1 << k
+            reps.append((combo, setwise))
+    failures = [M.render_set(rep) for rep, setwise in reps
+                if _code_for_setwise(table, setwise, max_len) is None]
     return CodesReport(structure=M.name, max_set_size=max_set_size, max_len=max_len,
                        sets_checked=len(reps), failures=tuple(failures))
 

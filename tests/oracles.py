@@ -9,7 +9,8 @@ joins of Perm sets, the stabilizer closed twice, the duality check and code
 searches as loops over element lists, normality as an orbit search per
 element, the antitone law on closed subgroups,
 the structure parser built on token objects, the automorphism search's
-degree-scan coloring and its orbit product rebuilt from generators) are kept
+degree-scan coloring, its position-order backtrack and its orbit product
+rebuilt from generators) are kept
 here as references.
 """
 
@@ -19,10 +20,11 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 from galbench import perm, structure
-from galbench.aut import (automorphism_group, automorphism_group_fixing,
-                          relative_restriction)
+from galbench.aut import (_incidence, _stable_colors, automorphism_group,
+                          automorphism_group_fixing, relative_restriction)
 from galbench.errors import (CapError, DslError, HypothesisError,
                              InternalCheckError, StructureError)
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
@@ -161,6 +163,113 @@ def slow_stable_colors(M, fixed) -> tuple[int, ...]:
         if new_colors == colors:
             return tuple(colors)
         colors = new_colors
+
+
+def slow_search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
+                                        ) -> tuple[list[Perm], int]:
+    """The automorphism search before its two-part levels, kept as the
+    reference for `search_automorphism_generators`: each candidate x -> y is
+    extended by a DFS over positions 0..n-1 with images ascending, whose first
+    leaf is the reported generator.
+
+    Generators of the group of automorphisms fixing `fixed` pointwise, and
+    the group's order.
+
+    Deterministic: base points ascending, candidate images ascending, and the
+    resulting generators sorted by image tuple.  Each level ends with the
+    whole orbit of its base point under the stabilizer of the points before
+    it, so the product of those orbit sizes is the order.
+    """
+    fixed = M.check_subset(fixed, "fixed set")
+    n = M.size
+    touch = _incidence(M)
+    colors = _stable_colors(M, fixed, touch)
+
+    img = [-1] * n
+    pre = [-1] * n
+
+    def consistent(x: int, y: int) -> bool:
+        if colors[x] != colors[y]:
+            return False
+        for _, table, t in touch[x]:
+            out = []
+            for e in t:
+                ie = y if e == x else img[e]
+                if ie < 0:
+                    out = None
+                    break
+                out.append(ie)
+            if out is not None and tuple(out) not in table:
+                return False
+        for _, table, t in touch[y]:
+            out = []
+            for e in t:
+                pe = x if e == y else pre[e]
+                if pe < 0:
+                    out = None
+                    break
+                out.append(pe)
+            if out is not None and tuple(out) not in table:
+                return False
+        return True
+
+    def extend(cursor: int) -> Perm | None:
+        x = cursor
+        while x < n and img[x] >= 0:
+            x += 1
+        if x == n:
+            return Perm(img)
+        for y in range(n):
+            if pre[y] >= 0 or not consistent(x, y):
+                continue
+            img[x] = y
+            pre[y] = x
+            found = extend(x + 1)
+            if found is not None:
+                return found
+            img[x] = -1
+            pre[y] = -1
+        return None
+
+    base = [x for x in range(n) if x not in fixed]
+    gens: list[Perm] = []
+
+    def reach(x0: int) -> set[int]:
+        seen = {x0}
+        frontier = [x0]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = g(p)
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        return seen
+
+    order = 1
+    for i in reversed(range(len(base))):
+        x = base[i]
+        prefix = fixed.union(base[:i])
+        known = reach(x)
+        for y in range(n):
+            if y == x or y in known or y in prefix or colors[y] != colors[x]:
+                continue
+            for e in range(n):
+                img[e] = e if e in prefix else -1
+                pre[e] = e if e in prefix else -1
+            if not consistent(x, y):
+                continue
+            img[x] = y
+            pre[y] = x
+            found = extend(0)
+            if found is not None:
+                gens.append(found)
+                known = reach(x)
+        order *= len(known)
+        for e in range(n):
+            img[e] = -1
+            pre[e] = -1
+    return sorted(gens), order
 
 
 def slow_orbit_product(generators, degree) -> int:

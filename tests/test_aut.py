@@ -13,7 +13,9 @@ from galbench.perm import Perm, close_group, stabilizer_pointwise
 from galbench.structure import load_structure
 
 from oracles import (brute_automorphisms, frobenius_perm, naive_closure,
-                     slow_orbit_product, slow_stable_colors)
+                     slow_orbit_product, slow_search_automorphism_generators,
+                     slow_stable_colors)
+from test_cli import LABELLED_GRAPHS, LABELLINGS, labelled_graph_text
 from test_fastpaths import GENERATED
 from test_perm import chain
 
@@ -305,3 +307,41 @@ def test_own_positions_split_what_degrees_do_not():
     assert old[1] == old[6] and colors[1] != colors[6]
     gens, order = search_automorphism_generators(M)
     assert order == len(brute_automorphisms(M)) == close_group(gens, degree=8).order
+
+
+# -- the two-part search against the position-order backtrack it replaced ----------
+
+
+def assert_search_matches_oracle(M):
+    """Same generators, in the same order, and the same order of the group,
+    for each fixed set."""
+    for fixed in fixed_sets(M):
+        assert search_automorphism_generators(M, fixed) == \
+            slow_search_automorphism_generators(M, fixed), fixed
+
+
+def test_search_matches_oracle_on_the_corpus(corpus_structure):
+    assert_search_matches_oracle(corpus_structure)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_search_matches_oracle_on_generated_families(name):
+    assert_search_matches_oracle(GENERATED[name]())
+
+
+def test_search_matches_oracle_on_random_structures():
+    """The 300 structures and fixed sets of the coloring test above, and
+    `fixed_sets` of each."""
+    rng = random.Random(23)
+    for trial in range(300):
+        M = random_structure(rng, f"Z{trial}", 8)
+        F = frozenset(rng.sample(range(M.size), rng.randint(0, M.size)))
+        assert search_automorphism_generators(M, F) == \
+            slow_search_automorphism_generators(M, F)
+        assert_search_matches_oracle(M)
+
+
+@pytest.mark.parametrize("labelling", LABELLINGS)
+@pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
+def test_search_matches_oracle_on_labelled_graphs(name, labelling):
+    assert_search_matches_oracle(load_structure(labelled_graph_text(name, labelling)))

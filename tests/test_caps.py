@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from galbench import formula, galois, perm, structure
+from galbench import aut, formula, galois, perm, structure
 from galbench.cli import run_command
 from galbench.corpus import CORPUS
 
@@ -58,6 +58,8 @@ FILE = "<EX_RS file>"
 LOWERED = [
     (structure, "DEFAULT_UNIVERSE_CAP", 5, ["aut", FILE],
      "universe has 6 elements; cap is 5"),
+    (aut, "SEARCH_WORK_CAP", 17, ["aut", FILE],
+     "automorphism search passed 17 consistency checks"),
     (perm, "DEFAULT_ELEMENT_CAP", 7, ["code", FILE, "--tuples", "a;b"],
      "group of order 8 exceeds enumeration cap 7"),
     (perm, "DEFAULT_SUBGROUP_CAP", 3, ["galois", FILE, "--base", "", "--top", "a,b,c,d"],

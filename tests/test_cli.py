@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import random
 import sys
 import textwrap
 import time
@@ -441,6 +442,68 @@ def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: codes report passed 1000000 point images\n"
+
+
+def _cycle_edges(*lengths):
+    edges, start = [], 0
+    for m in lengths:
+        edges += [(start + k, start + (k + 1) % m) for k in range(m)]
+        start += m
+    return edges
+
+
+def _cubic_edges(seed, n=16):
+    """A random simple 3-regular graph on n vertices, by seeded pairing."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return sorted(edges)
+
+
+#: Undirected graphs on 16 vertices whose automorphism search, before it
+#: walked the Gaifman graph, took up to tens of seconds under some
+#: labellings; the 3-regular one is rigid.
+LABELLED_GRAPHS = {
+    "C16": _cycle_edges(16),
+    "C8_C8": _cycle_edges(8, 8),
+    "C5_C5_C6": _cycle_edges(5, 5, 6),
+    "C7_C9": _cycle_edges(7, 9),
+    "C3x4_C4": _cycle_edges(3, 3, 3, 3, 4),
+    "C3x3_C7": _cycle_edges(3, 3, 3, 7),
+    "Cubic": _cubic_edges(0),
+}
+
+LABELLINGS = range(3)
+
+
+def labelled_graph_text(name, labelling):
+    """Structure text for `LABELLED_GRAPHS[name]`, vertex k named v<pi(k)>
+    for a permutation pi seeded by `labelling`, universe declared v0..v15."""
+    pi = list(range(16))
+    random.Random(labelling).shuffle(pi)
+    arcs = sorted({(pi[a], pi[b]) for a, b in LABELLED_GRAPHS[name]}
+                  | {(pi[b], pi[a]) for a, b in LABELLED_GRAPHS[name]})
+    return (f"structure {name} {{\n"
+            f"  universe = {{ {', '.join(f'v{i}' for i in range(16))} }}\n"
+            f"  rel E/2 = {{ {', '.join(f'(v{a}, v{b})' for a, b in arcs)} }}\n}}\n")
+
+
+@pytest.mark.parametrize("labelling", LABELLINGS)
+@pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
+def test_labelling_sensitive_graphs_answer_within_two_seconds(name, labelling, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text(labelled_graph_text(name, labelling), encoding="utf-8")
+    for argv in (["aut", str(path)], ["dcl", str(path), "--set", "v0"]):
+        start = time.perf_counter()
+        code, text = run(argv)
+        assert time.perf_counter() - start < 2, argv[0]
+        assert code == 0, argv[0]
+    if name == "Cubic":
+        code, payload = run_json(["aut", str(path)])
+        assert payload["order"] == 1
 
 
 def test_console_entry_point_exits_with_the_command_code(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """The group core's fast paths against the slow paths they replaced."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -417,6 +417,32 @@ def test_code_searches_match_slow_path_on_corpus(corpus_structure, monkeypatch):
 
 def test_code_searches_match_slow_path_on_generated(generated_structure, monkeypatch):
     assert_codes_match_slow_path(generated_structure, monkeypatch)
+
+
+def assert_codes_report_matches_find_code(M):
+    """The report's failures are the representatives, least member of each
+    orbit of sets, that `find_code` called on its own finds no code for."""
+    elems = automorphism_group(M).elements()
+    for size, max_len in ((1, 0), (2, 0), (2, 1), (2, 3)):
+        reps, seen = [], set()
+        for k in range(1, size + 1):
+            for combo in combinations(range(M.size), k):
+                if combo not in seen:
+                    images = {tuple(sorted(g(e) for e in combo)) for g in elems}
+                    seen |= images
+                    reps.append(min(images))
+        report = codes_finite_sets(M, max_set_size=size, max_len=max_len)
+        assert report.sets_checked == len(reps)
+        assert report.failures == tuple(M.render_set(rep) for rep in reps
+                                        if find_code(M, [(e,) for e in rep], max_len) is None)
+
+
+def test_codes_report_matches_find_code_on_corpus(corpus_structure):
+    assert_codes_report_matches_find_code(corpus_structure)
+
+
+def test_codes_report_matches_find_code_on_generated(generated_structure):
+    assert_codes_report_matches_find_code(generated_structure)
 
 
 @pytest.mark.parametrize("make", [lambda: galois_field(2, (1, 1, 0, 1)),
