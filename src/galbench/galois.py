@@ -227,15 +227,25 @@ def is_splitting_extension(M: Structure, A: Iterable[int], B: Iterable[int],
     Searches witnesses b over B by ascending length (empty tuple first, then
     singletons, pairs, ...); returns (True, b) where the orbit of b stays in B
     and B is definable from A plus that orbit, else (False, None).
+
+    The test reads only the entries of b's orbit, and those are the union of
+    the orbits of b's entries: the tuples g(b) for g in Aut(M/A) have entries
+    g(b_i), and as g runs over the group, g(b_i) runs over the orbit of b_i.
+    So no tuple orbit is built.  Both tests read only A plus the entries (A
+    lies in B, so the entries lie in B exactly when A plus the entries do),
+    and a candidate giving a set already tried is skipped: `dcl` runs at most
+    once per set.  Every candidate is still drawn, and counted, in the same
+    order, so the first witness is the same.
     """
     A, B = _extension(M, A, B)
-    G = automorphism_group_fixing(M, A)
+    orbits = automorphism_group_fixing(M, A).point_orbits()
+    tried: set[frozenset[int]] = set()
     for cand in _candidate_tuples(sorted(B), 0, max_len):
-        orb = orbit(G, cand)
-        entries = frozenset(e for t in orb for e in t)
-        if not entries <= B:
+        over = A.union(*map(orbits.__getitem__, cand))
+        if over in tried:
             continue
-        if B <= dcl(M, A | entries):
+        tried.add(over)
+        if over <= B and B <= dcl(M, over):
             return True, cand
     return False, None
 

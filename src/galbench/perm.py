@@ -25,8 +25,9 @@ subgroup mask's size, the order the automorphism search returns), and a
 finished chain whose order differs from it raises `InternalCheckError`.
 
 Groups are immutable once closed; membership tests and queries are pure.
-Each group fills three slots on first use and keeps them: its element table,
-its fixed-point set, and its pointwise stabilizers, keyed on the points in
+Each group fills four slots on first use and keeps them: its element table,
+its fixed-point set, its point orbits (each point's orbit, read off the
+generators), and its pointwise stabilizers, keyed on the points in
 first-occurrence order because the chain depends on the order of the base
 prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
 the stabilizer memo grows with the distinct tuples G is asked about.
@@ -101,7 +102,7 @@ class Perm:
         return self.images == tuple(range(len(self.images)))
 
     def apply_tuple(self, t: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.images[e] for e in t)
+        return tuple(map(self.images.__getitem__, t))
 
     def apply_set(self, s: Iterable[int]) -> frozenset[int]:
         return frozenset(self.images[e] for e in s)
@@ -183,7 +184,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
-                 "_table", "_fixed", "_stabilizers")
+                 "_table", "_fixed", "_orbits", "_stabilizers")
 
     def __init__(self, degree, generators, base, levels, trans, order):
         self.degree = degree
@@ -194,6 +195,7 @@ class PermGroup:
         self.order = order
         self._table = None
         self._fixed = None
+        self._orbits: tuple[frozenset[int], ...] | None = None
         self._stabilizers: dict[tuple[int, ...], PermGroup] | None = None
 
     def contains(self, g: Perm) -> bool:
@@ -211,22 +213,56 @@ class PermGroup:
                                     if all(g.images[x] == x for g in self.generators))
         return self._fixed
 
+    def point_orbits(self) -> tuple[frozenset[int], ...]:
+        """Each point's orbit, indexed by point: a breadth-first search over
+        the generators from each point not yet reached, computed on first use
+        and kept.  The points of one orbit share one frozenset."""
+        if self._orbits is None:
+            orbits: list[frozenset[int] | None] = [None] * self.degree
+            images = [g.images for g in self.generators]
+            for start in range(self.degree):
+                if orbits[start] is not None:
+                    continue
+                seen = {start}
+                frontier = [start]
+                while frontier:
+                    nxt = []
+                    for p in frontier:
+                        for img in images:
+                            q = img[p]
+                            if q not in seen:
+                                seen.add(q)
+                                nxt.append(q)
+                    frontier = nxt
+                orb = frozenset(seen)
+                for p in orb:
+                    orbits[p] = orb
+            self._orbits = tuple(orbits)
+        return self._orbits
+
     def level_generators(self, k: int) -> list[Perm]:
         """Strong generators fixing the first k base points pointwise."""
         return list(self._levels[k]) if k < len(self._levels) else []
 
     def elements(self) -> list[Perm]:
-        """Every group element, sorted by image tuple."""
+        """Every group element, sorted by image tuple.
+
+        Each element is one product u_0 * u_1 * ... of transversal elements,
+        one per level.  The products are built as plain image tuples, layer by
+        layer from the deepest level up, and sorted as tuples; only then is
+        each wrapped as a `Perm`.  `Perm.__lt__` compares image tuples, so the
+        order is the one sorting the Perms would give.
+        """
         _check_cap(self.order)
-        elems = [Perm.identity(self.degree)]
+        elems = [tuple(range(self.degree))]
         for i in reversed(range(len(self.base))):
             layer = []
             for point in sorted(self._trans[i]):
-                u = self._trans[i][point]
-                layer.extend(u * e for e in elems)
+                u = self._trans[i][point].images.__getitem__
+                layer.extend(tuple(map(u, e)) for e in elems)
             elems = layer
         elems.sort()
-        return elems
+        return [_trusted(e) for e in elems]
 
     def element_table(self) -> "ElementTable":
         """The group's `ElementTable`, built from `elements` on first use and
@@ -554,7 +590,7 @@ class ElementTable:
         out = 0
         for i, g in enumerate(self.elements):
             img = g.images
-            if all(tuple(img[e] for e in t) in tuples for t in tuples):
+            if all(tuple(map(img.__getitem__, t)) in tuples for t in tuples):
                 out |= 1 << i
         return out
 

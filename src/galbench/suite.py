@@ -174,7 +174,7 @@ def run_law_suite(M: Structure, trials: int = 200, seed: int = 0,
 
         # the closure of one full orbit is a normal extension
         orbit_closure.trials += 1
-        orb_entries = frozenset(e for t in orbit(G, (x,)) for e in t)
+        orb_entries = G.point_orbits()[x]
         B_norm = dcl(M, A | orb_entries)
         if not is_normal_extension(M, A, B_norm):
             note(orbit_closure, f"{tag}: x={x}: orbit closure not normal")
@@ -216,8 +216,7 @@ def run_law_suite(M: Structure, trials: int = 200, seed: int = 0,
 
         # normal tower: fixing subgroup normal iff the middle set is normal
         subgroup_law.trials += 1
-        C_n = dcl(M, A_cl | orb_entries
-                  | frozenset(e for t in orbit(G, (y,)) for e in t))
+        C_n = dcl(M, A_cl | orb_entries | G.point_orbits()[y])
         z = rng.choice(sorted(C_n))
         B_mid = dcl(M, A_cl | {z})
         G_rel = relative_aut(M, C_n, A_cl)

@@ -7,7 +7,8 @@ witness-enumerating recursion.  The tests compare the package against these.
 The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
 searches as loops over element lists, normality as an orbit search per
-element, the antitone law on closed subgroups,
+element, the antitone law on closed subgroups, splitting as a tuple-orbit
+search per candidate, the element list as Perm products,
 the structure parser built on token objects, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
@@ -295,6 +296,20 @@ def slow_orbit_product(generators, degree) -> int:
     return order
 
 
+def slow_elements(G) -> list[Perm]:
+    """Every element of G as a Perm product down the chain, one transversal
+    element per level, sorted as Perms."""
+    elems = [Perm.identity(G.degree)]
+    for i in reversed(range(len(G.base))):
+        layer = []
+        for point in sorted(G._trans[i]):
+            u = G._trans[i][point]
+            layer.extend(u * e for e in elems)
+        elems = layer
+    elems.sort()
+    return elems
+
+
 def naive_closure(perms, degree) -> set[Perm]:
     """Close a generator set under products by repeated multiplication."""
     elems = {Perm.identity(degree)} | set(perms)
@@ -420,6 +435,22 @@ def slow_is_normal_extension(M, A, B) -> bool:
         if any(t[0] not in B for t in orbit(G, (x,))):
             return False
     return True
+
+
+def slow_is_splitting_extension(M, A, B, max_len=3):
+    """`is_splitting_extension` with each candidate's tuple orbit built by
+    breadth-first search and every candidate tested, repeats included."""
+    A = M.check_subset(A, "base set")
+    B = M.check_subset(B, "extension set")
+    if not A <= B:
+        raise StructureError("base set must be contained in the extension")
+    G = automorphism_group_fixing(M, A)
+    for length in range(max_len + 1):
+        for cand in product(sorted(B), repeat=length):
+            entries = frozenset(e for t in orbit(G, cand) for e in t)
+            if entries <= B and B <= dcl(M, A | entries):
+                return True, cand
+    return False, None
 
 
 def slow_find_code(M, F, max_len=3):

@@ -344,4 +344,5 @@ def test_search_matches_oracle_on_random_structures():
 @pytest.mark.parametrize("labelling", LABELLINGS)
 @pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
 def test_search_matches_oracle_on_labelled_graphs(name, labelling):
-    assert_search_matches_oracle(load_structure(labelled_graph_text(name, labelling)))
+    assert_search_matches_oracle(
+        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)))

@@ -8,6 +8,7 @@ import random
 import sys
 import textwrap
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -479,13 +480,12 @@ LABELLED_GRAPHS = {
 LABELLINGS = range(3)
 
 
-def labelled_graph_text(name, labelling):
-    """Structure text for `LABELLED_GRAPHS[name]`, vertex k named v<pi(k)>
+def labelled_graph_text(name, edges, labelling):
+    """Structure text for a graph on 16 vertices, vertex k named v<pi(k)>
     for a permutation pi seeded by `labelling`, universe declared v0..v15."""
     pi = list(range(16))
     random.Random(labelling).shuffle(pi)
-    arcs = sorted({(pi[a], pi[b]) for a, b in LABELLED_GRAPHS[name]}
-                  | {(pi[b], pi[a]) for a, b in LABELLED_GRAPHS[name]})
+    arcs = sorted({(pi[a], pi[b]) for a, b in edges} | {(pi[b], pi[a]) for a, b in edges})
     return (f"structure {name} {{\n"
             f"  universe = {{ {', '.join(f'v{i}' for i in range(16))} }}\n"
             f"  rel E/2 = {{ {', '.join(f'(v{a}, v{b})' for a, b in arcs)} }}\n}}\n")
@@ -495,7 +495,8 @@ def labelled_graph_text(name, labelling):
 @pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
 def test_labelling_sensitive_graphs_answer_within_two_seconds(name, labelling, tmp_path):
     path = tmp_path / "graph.txt"
-    path.write_text(labelled_graph_text(name, labelling), encoding="utf-8")
+    path.write_text(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling),
+                    encoding="utf-8")
     for argv in (["aut", str(path)], ["dcl", str(path), "--set", "v0"]):
         start = time.perf_counter()
         code, text = run(argv)
@@ -504,6 +505,32 @@ def test_labelling_sensitive_graphs_answer_within_two_seconds(name, labelling, t
     if name == "Cubic":
         code, payload = run_json(["aut", str(path)])
         assert payload["order"] == 1
+
+
+#: Vertex-transitive graphs on 16 vertices whose `splitting` request, when it
+#: built every candidate's tuple orbit, took tens of milliseconds: the rook's
+#: graph 4x4 (|Aut| = 1152) and the Clebsch graph (|Aut| = 1920).
+SPLITTING_GRAPHS = {
+    "Rook4": [(i, j) for i, j in combinations(range(16), 2)
+              if i // 4 == j // 4 or i % 4 == j % 4],
+    "Clebsch": [(i, j) for i, j in combinations(range(16), 2)
+                if i ^ j in (1, 2, 4, 8, 15)],
+}
+
+
+@pytest.mark.parametrize("labelling", LABELLINGS)
+@pytest.mark.parametrize("name", sorted(SPLITTING_GRAPHS))
+def test_splitting_on_large_vertex_transitive_groups_answers_within_two_seconds(
+        name, labelling, tmp_path):
+    """No three vertices split over the empty base: every vertex's orbit is
+    the whole graph, and nothing is definable from nothing."""
+    path = tmp_path / "graph.txt"
+    path.write_text(labelled_graph_text(name, SPLITTING_GRAPHS[name], labelling),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, text = run(["splitting", str(path), "--base", "", "--top", "v0,v1,v2"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and text == "false\n"
 
 
 def test_console_entry_point_exits_with_the_command_code(monkeypatch, capsys):

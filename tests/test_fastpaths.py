@@ -10,8 +10,9 @@ from galbench import perm
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction)
 from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
-from galbench.galois import (codes_finite_sets, find_code, is_normal_extension,
-                             multisymmetric_code, verify_galois_correspondence)
+from galbench.galois import (codes_finite_sets, dcl, find_code, is_normal_extension,
+                             is_splitting_extension, multisymmetric_code,
+                             verify_galois_correspondence)
 from galbench.perm import (Perm, all_subgroups, close_group, orbit,
                            restrict_to_invariant_set, stabilizer_pointwise,
                            trivial_group)
@@ -23,6 +24,7 @@ from oracles import (cyclic_join_subgroups, slow_antitone_law, slow_code_is_veri
                      slow_codes_finite_sets, slow_find_code,
                      slow_galois_correspondence, slow_is_normal_extension,
                      two_close_stabilizer)
+from test_cli import SPLITTING_GRAPHS
 
 
 def cyc(n, *cycles):
@@ -467,3 +469,138 @@ def test_multisymmetric_check_matches_slow_path(make, gf16, monkeypatch):
                 pytest.raises(CapError, match="exceeds enumeration cap"):
             patch.setattr(perm, "DEFAULT_ELEMENT_CAP", 1)
             multisymmetric_code(M, [(1,)])
+
+
+# -- element lists, point orbits and splitting against their slow paths ------------
+
+
+def graph(name, n, edges, seed):
+    """An undirected graph as an `adj/2` structure, declared in a seeded
+    random order."""
+    arcs = [a for u, v in edges for a in ((u, v), (v, u))]
+    return structure_from(name, n, [("adj", 2, arcs)], seed)
+
+
+def rook4(seed):
+    return graph("Rook4", 16, SPLITTING_GRAPHS["Rook4"], seed)
+
+
+def clebsch(seed):
+    return graph("Clebsch", 16, SPLITTING_GRAPHS["Clebsch"], seed)
+
+
+def k44(seed):
+    return graph("K4_4", 8, [(i, j) for i in range(4) for j in range(4, 8)], seed)
+
+
+#: Vertex-transitive graphs with large groups: Rook4 and K4,4 of order 1152,
+#: Clebsch of order 1920.
+LARGE_GROUPS = {"Rook4": rook4, "Clebsch": clebsch, "K4_4": k44}
+
+
+def kernel_groups(M):
+    """Aut(M) and two of its pointwise stabilizers, whose generators are the
+    chain's level generators rather than the search's."""
+    G = automorphism_group(M)
+    return [G, stabilizer_pointwise(G, (0,)), stabilizer_pointwise(G, (M.size - 1, 0))]
+
+
+def assert_kernel_matches_slow_path(M):
+    for G in kernel_groups(M):
+        elems = G.elements()
+        assert elems == oracles.slow_elements(G)
+        assert all(type(g) is Perm and type(g.images) is tuple for g in elems)
+        orbits = G.point_orbits()
+        assert orbits == tuple(frozenset(t[0] for t in orbit(G, (x,)))
+                               for x in range(G.degree))
+        assert G.point_orbits() is orbits
+
+
+def test_kernel_matches_slow_path_on_corpus(corpus_structure):
+    assert_kernel_matches_slow_path(corpus_structure)
+
+
+def test_kernel_matches_slow_path_on_generated(generated_structure):
+    assert_kernel_matches_slow_path(generated_structure)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUPS))
+def test_kernel_matches_slow_path_on_large_groups(name):
+    M = LARGE_GROUPS[name](0)
+    assert automorphism_group(M).order == {"Rook4": 1152, "Clebsch": 1920,
+                                           "K4_4": 1152}[name]
+    assert_kernel_matches_slow_path(M)
+
+
+def splitting_instances(M):
+    """(base, top) pairs: the empty base under the whole universe, and per
+    seeded random base a few random tops and the closure of one orbit."""
+    rng = random.Random(M.name)
+    universe = frozenset(range(M.size))
+    out = [(frozenset(), universe)]
+    for _ in range(3):
+        A = frozenset(rng.sample(range(M.size), rng.randrange(3)))
+        G = automorphism_group_fixing(M, A)
+        x = rng.randrange(M.size)
+        out.append((A, A | frozenset(rng.sample(range(M.size), rng.randrange(1, 4)))))
+        out.append((A, dcl(M, A | frozenset(t[0] for t in orbit(G, (x,))))))
+    return out
+
+
+def assert_splitting_matches_slow_path(M):
+    verdicts = set()
+    for A, B in splitting_instances(M):
+        for max_len in range(4):
+            got = is_splitting_extension(M, A, B, max_len)
+            assert got == oracles.slow_is_splitting_extension(M, A, B, max_len), \
+                (sorted(A), sorted(B), max_len)
+            verdicts.add(got[0])
+    return verdicts
+
+
+def test_splitting_matches_slow_path_on_corpus(corpus_structure):
+    assert_splitting_matches_slow_path(corpus_structure)
+
+
+def test_splitting_matches_slow_path_on_generated(generated_structure):
+    assert_splitting_matches_slow_path(generated_structure)
+
+
+@pytest.mark.parametrize("make", [rook4, clebsch], ids=["Rook4", "Clebsch"])
+def test_splitting_matches_slow_path_on_relabelled_large_groups(make):
+    assert assert_splitting_matches_slow_path(make(97)) == {True, False}
+
+
+def test_splitting_closes_each_set_once(monkeypatch):
+    """Two swappable pairs over the empty base: the candidates (a), (b), (c),
+    (d), (a, a), (a, b) bring only the entry sets {a, b} and {c, d}, and
+    (a, c) is the witness.  The tuple-orbit loop closes {a, b} and {c, d}
+    twice each and {a, b} twice more; the search closes each set once, also
+    where a nonempty base absorbs different orbit entries into one set."""
+    import galbench.galois as galois
+    M = load_structure("structure Pairs {\n  universe = { a, b, c, d }\n"
+                       "  rel P/1 = { (a), (b) }\n}\n")
+    calls = []
+
+    def counted(real):
+        def dcl_counted(M, A):
+            calls.append(frozenset(A))
+            return real(M, A)
+        return dcl_counted
+
+    monkeypatch.setattr(galois, "dcl", counted(galois.dcl))
+    monkeypatch.setattr(oracles, "dcl", counted(oracles.dcl))
+    everything = frozenset(range(4))
+    a, b, c, d = map(M.resolve, "abcd")
+    assert is_splitting_extension(M, frozenset(), everything) == (True, (a, c))
+    assert calls == [frozenset(), frozenset({a, b}), frozenset({c, d}), everything]
+    calls.clear()
+    assert oracles.slow_is_splitting_extension(M, frozenset(), everything) == \
+        (True, (a, c))
+    assert len(calls) == 8
+    for make in (lambda: rook4(97), lambda: clebsch(97), lambda: even_flips(4)):
+        M = make()
+        for A, B in splitting_instances(M):
+            calls.clear()
+            is_splitting_extension(M, A, B)
+            assert len(calls) == len(set(calls))
