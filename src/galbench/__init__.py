@@ -16,9 +16,9 @@ from .structure import (DEFAULT_UNIVERSE_CAP, Signature, Structure,
 from .formula import (Formula, evaluate, format_formula, free_variables,
                       parameters, parse_formula, solution_set)
 from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, ElementTable, Perm,
-                   PermGroup, Restriction, all_subgroups, close_group,
-                   is_normal_subgroup, orbit, restrict_to_invariant_set,
-                   setwise_stabilizer, stabilizer_pointwise, trivial_group)
+                   PermGroup, Restriction, close_group, is_normal_subgroup,
+                   orbit, restrict_to_invariant_set, setwise_stabilizer,
+                   stabilizer_pointwise, trivial_group)
 from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
                   relative_restriction, search_automorphism_generators)
 from .galois import (DEFAULT_MAX_LEN, CodesReport, DualityFailure, FieldOps,

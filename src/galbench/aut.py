@@ -283,11 +283,13 @@ def automorphism_group(M: Structure) -> PermGroup:
 
 
 def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
-    """The subgroup of Aut(M) fixing each element of A pointwise."""
-    A = M.check_subset(A, "parameter set")
+    """The subgroup of Aut(M) fixing each element of A pointwise; memoized
+    per A, which is checked only when it is not cached yet."""
+    A = frozenset(A)
     cache = _cache(M)
     got = cache.get(A)
     if got is None:
+        M.check_subset(A, "parameter set")
         got = stabilizer_pointwise(automorphism_group(M), tuple(sorted(A)))
         cache[A] = got
     return got
@@ -298,16 +300,19 @@ def relative_restriction(M: Structure, C: Iterable[int],
     """Restriction of Aut(M/A) to an invariant C: image, kernel, and the
     position-to-element map.
 
-    Memoized per (C, A) in `M._caches`; a set that is not invariant is
-    rejected afresh on every call.
+    Memoized per (C, A) in `M._caches`, so the sets and their nesting are
+    checked only for a new pair; a set that is not invariant is rejected
+    afresh on every call.
     """
-    A = M.check_subset(A, "base set")
-    C = M.check_subset(C, "top set")
-    if not A <= C:
-        raise StructureError("base set must be contained in the top set")
+    A = frozenset(A)
+    C = frozenset(C)
     cache = M._caches.setdefault("restriction", {})
     got = cache.get((C, A))
     if got is None:
+        M.check_subset(A, "base set")
+        M.check_subset(C, "top set")
+        if not A <= C:
+            raise StructureError("base set must be contained in the top set")
         G = automorphism_group_fixing(M, A)
         try:
             got = restrict_to_invariant_set(G, C)

@@ -31,8 +31,6 @@ generators), and its pointwise stabilizers, keyed on the points in
 first-occurrence order because the chain depends on the order of the base
 prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
 the stabilizer memo grows with the distinct tuples G is asked about.
-`all_subgroups` is a thin wrapper over the element table's lattice masks,
-closing one group per mask; nothing in the package calls it.
 
 Three module constants bound the work at desk scale.  `DEFAULT_ELEMENT_CAP`
 bounds the order of a group whose elements are enumerated,
@@ -428,12 +426,16 @@ def trivial_group(degree: int) -> PermGroup:
 # -- actions and stabilizers ----------------------------------------------------
 
 
-def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The orbit of a tuple under coordinatewise action, in canonical order."""
-    t = tuple(t)
+def _check_entries(G: PermGroup, t: Iterable[int]) -> None:
     for e in t:
         if not 0 <= e < G.degree:
             raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
+
+
+def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The orbit of a tuple under coordinatewise action, in canonical order."""
+    t = tuple(t)
+    _check_entries(G, t)
     seen = {t}
     frontier = [t]
     while frontier:
@@ -464,15 +466,10 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
     the entries in first-occurrence order (the chain depends on the prefix
     order), so a repeated call returns the same group.
     """
-    points = []
-    for e in t:
-        if not 0 <= e < G.degree:
-            raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
-        if e not in points:
-            points.append(e)
-    if not points:
+    key = tuple(dict.fromkeys(t))
+    _check_entries(G, key)
+    if not key:
         return G
-    key = tuple(points)
     memo = G._stabilizers
     if memo is None:
         memo = G._stabilizers = {}
@@ -498,9 +495,7 @@ def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]]) -> PermGroup:
     if len(lengths) > 1:
         raise GroupError(f"mixed tuple lengths in set: {sorted(lengths)}")
     for t in tuples:
-        for e in t:
-            if not 0 <= e < G.degree:
-                raise GroupError(f"tuple entry {e} out of range for degree {G.degree}")
+        _check_entries(G, t)
     table = G.element_table()
     kept = table.setwise(tuples)
     return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree,
@@ -695,22 +690,6 @@ def _is_prime_power(n: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def all_subgroups(G: PermGroup) -> list[PermGroup]:
-    """Every subgroup of G exactly once, sorted by (order, element list).
-
-    A thin public wrapper: the lattice is `ElementTable.subgroups` on G's
-    table, so the i-th group returned is the i-th mask there; each is closed
-    on its minimal generators, told its order (the mask's size).  The package
-    itself works on the masks.
-    """
-    if G.order > DEFAULT_SUBGROUP_CAP:
-        raise CapError(f"group order {G.order} exceeds subgroup enumeration cap "
-                       f"{DEFAULT_SUBGROUP_CAP}")
-    table = G.element_table()
-    return [close_group(table.perms(gens), degree=G.degree, known_order=mask.bit_count())
-            for mask, gens in table.subgroups()]
 
 
 def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:

@@ -12,7 +12,8 @@ search per candidate, the element list as Perm products,
 the structure parser built on token objects, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
-here as references.
+here as references.  So is `all_subgroups`, the package's lattice masks
+closed into one group each: the reference lattice the tests walk.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
                              dcl, find_generator, fix_of_set, fix_of_subgroup,
                              fmt_group, fmt_set)
-from galbench.perm import Perm, all_subgroups, close_group, orbit
+from galbench.perm import Perm, close_group, orbit
 from galbench.structure import Signature, Structure, is_element_name, is_identifier
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
@@ -384,6 +385,20 @@ def cyclic_join_subgroups(G) -> list[tuple[list[Perm], list[Perm]]]:
                 worklist.append(join)
     ordered = sorted(gens_of, key=lambda s: (len(s), sorted(p.images for p in s)))
     return [(sorted(s), gens_of[s]) for s in ordered]
+
+
+def all_subgroups(G) -> list:
+    """Every subgroup of G exactly once, sorted by (order, element list).
+
+    The i-th group is the i-th mask of `ElementTable.subgroups` on G's table,
+    closed on its minimal generators and told its order (the mask's size).
+    """
+    if G.order > perm.DEFAULT_SUBGROUP_CAP:
+        raise CapError(f"group order {G.order} exceeds subgroup enumeration cap "
+                       f"{perm.DEFAULT_SUBGROUP_CAP}")
+    table = G.element_table()
+    return [close_group(table.perms(gens), degree=G.degree, known_order=mask.bit_count())
+            for mask, gens in table.subgroups()]
 
 
 def two_close_stabilizer(G, points):

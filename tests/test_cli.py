@@ -429,6 +429,15 @@ def test_subgroup_lattice_past_its_work_cap_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err == "error: subgroup lattice passed 3000000 product lookups\n"
 
 
+def test_galois_on_a_non_normal_top_exits_2(tmp_path, capsys):
+    """Three points and no relations: dcl(p) is {p}, which S3 moves."""
+    path = tmp_path / "s3.txt"
+    path.write_text("structure S3 { universe = { p, q, r } }\n", encoding="utf-8")
+    assert run(["galois", str(path), "--top", "p"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: top set is not a normal extension of the base: some orbit leaves it\n"
+
+
 def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
     """Seven unrelated points plus a rigid directed 7-path: Aut is S7, and its
     1023 orbits of sets cost 5040 times their size each, about 36 million

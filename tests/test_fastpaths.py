@@ -13,15 +13,14 @@ from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantErr
 from galbench.galois import (codes_finite_sets, dcl, find_code, is_normal_extension,
                              is_splitting_extension, multisymmetric_code,
                              verify_galois_correspondence)
-from galbench.perm import (Perm, all_subgroups, close_group, orbit,
-                           restrict_to_invariant_set, stabilizer_pointwise,
-                           trivial_group)
+from galbench.perm import (Perm, close_group, orbit, restrict_to_invariant_set,
+                           stabilizer_pointwise, trivial_group)
 from galbench.structure import load_structure
 from galbench.suite import run_law_suite
 
 import oracles
-from oracles import (cyclic_join_subgroups, slow_antitone_law, slow_code_is_verified,
-                     slow_codes_finite_sets, slow_find_code,
+from oracles import (all_subgroups, cyclic_join_subgroups, slow_antitone_law,
+                     slow_code_is_verified, slow_codes_finite_sets, slow_find_code,
                      slow_galois_correspondence, slow_is_normal_extension,
                      two_close_stabilizer)
 from test_cli import SPLITTING_GRAPHS
@@ -293,10 +292,27 @@ def assert_same_outcome(fast, slow):
     assert fast() == expected
 
 
+def non_normal_instances(M):
+    """(base, top) pairs whose closed top is no union of orbits over the
+    closed base: the empty base and two random points, each with one more
+    point."""
+    rng = random.Random(M.name)
+    bases = [frozenset()] + [frozenset(rng.sample(range(M.size), 1)) for _ in range(2)]
+    return [(A, A | {x}) for A in bases for x in range(M.size)
+            if not slow_is_normal_extension(M, dcl(M, A), dcl(M, A | {x}))]
+
+
 def assert_duality_matches_slow_path(M):
-    for A, C in duality_instances(M):
+    """Equal reports, or equal errors: a non-normal top raises the same
+    `HypothesisError` on both paths."""
+    for A, C in duality_instances(M) + non_normal_instances(M):
         assert_same_outcome(lambda: verify_galois_correspondence(M, A, C),
                             lambda: slow_galois_correspondence(M, A, C))
+
+
+def test_generated_families_have_non_normal_tops():
+    counts = {name: len(non_normal_instances(make())) for name, make in GENERATED.items()}
+    assert {name for name, n in counts.items() if n} == {"Cyc2_2_3", "Cyc3_3", "Cyc4_4"}
 
 
 def test_duality_matches_slow_path_on_corpus(corpus_structure):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from galbench.aut import automorphism_group, relative_aut
+from galbench.aut import automorphism_group, automorphism_group_fixing, relative_aut
 from galbench.errors import (CapError, EvalError, FieldEncodingError,
                              HypothesisError, InconclusiveError, StructureError)
 from galbench.formula import parse_formula
@@ -264,6 +264,53 @@ def test_fix_nesting_validation(gf16):
     C = frozenset(range(16))
     with pytest.raises(StructureError):
         fix_of_set(gf16, C, ids(gf16, "w"), ids(gf16, "0"))
+
+
+# Each entry point with one bad member `x` in one of its sets, and the label
+# that set's error names; the other sets are valid.  TWOTRI has six elements.
+ALL6 = frozenset(range(6))
+BAD_SET_CALLS = {
+    "dcl": (lambda M, x: dcl(M, {0, x}), "parameter set"),
+    "automorphism_group_fixing": (lambda M, x: automorphism_group_fixing(M, [x]),
+                                  "parameter set"),
+    "relative_aut-base": (lambda M, x: relative_aut(M, ALL6, {x}), "base set"),
+    "relative_aut-top": (lambda M, x: relative_aut(M, ALL6 | {x}, ()), "top set"),
+    "fix_of_set-base": (lambda M, x: fix_of_set(M, ALL6, {x}, ALL6), "base set"),
+    "fix_of_set-middle": (lambda M, x: fix_of_set(M, ALL6, (), {0, x}), "middle set"),
+    "fix_of_set-top": (lambda M, x: fix_of_set(M, ALL6 | {x}, (), ()), "top set"),
+    "orbit_over": (lambda M, x: orbit_over(M, (0,), {x}), "parameter set"),
+    "find_generator-base": (lambda M, x: find_generator(M, {x}, ALL6), "base set"),
+    "find_generator-extension": (lambda M, x: find_generator(M, (), {0, x}),
+                                 "extension set"),
+}
+
+
+def fill_caches(M):
+    """Valid calls to every entry point above, which fill M's group caches."""
+    bases = [frozenset(), frozenset({0}), frozenset({0, 3}), ALL6]
+    for A in bases:
+        dcl(M, A)
+        automorphism_group_fixing(M, A)
+        orbit_over(M, (0,), A)
+        find_generator(M, A, ALL6)
+        relative_aut(M, ALL6, A)
+        fix_of_set(M, ALL6, A, ALL6)
+    assert all(A in M._caches["aut"] and (ALL6, A) in M._caches["restriction"]
+               for A in bases)
+
+
+@pytest.mark.parametrize("bad", [6, -1, "a", 2.5], ids=["size", "negative", "str", "float"])
+@pytest.mark.parametrize("name", sorted(BAD_SET_CALLS))
+def test_bad_set_members_are_refused_on_a_cold_and_a_warm_cache(name, bad):
+    call, label = BAD_SET_CALLS[name]
+    M = load_structure(TWO_TRIANGLES)
+    assert M.size == 6
+    for warm in (False, True):
+        if warm:
+            fill_caches(M)
+        with pytest.raises(StructureError) as err:
+            call(M, bad)
+        assert str(err.value) == f"{label} contains invalid element {bad!r}"
 
 
 # -- codes ---------------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from galbench.galois import (acl, codes_finite_sets, dcl, degree_of_extension,
                              extension_aut_order, find_generator, fix_of_set,
                              fix_of_subgroup, is_normal_extension, orbit_over,
                              verify_galois_correspondence)
-from galbench.perm import all_subgroups, is_normal_subgroup, orbit
+from galbench.perm import is_normal_subgroup, orbit
 from galbench.structure import load_structure
 from galbench.suite import run_duality_check, run_full_verification, run_law_suite
+
+from oracles import all_subgroups
 
 SMALL = ("EX_RS", "RIGID3", "C5", "GF4")
 

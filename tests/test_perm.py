@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from galbench import perm
 from galbench.aut import automorphism_group
 from galbench.errors import CapError, GroupError, InternalCheckError
-from galbench.perm import (Perm, all_subgroups, close_group, is_normal_subgroup,
-                           orbit, restrict_to_invariant_set, setwise_stabilizer,
+from galbench.perm import (Perm, close_group, is_normal_subgroup, orbit,
+                           restrict_to_invariant_set, setwise_stabilizer,
                            stabilizer_pointwise, trivial_group)
 
-from oracles import naive_closure, word_closure
+from oracles import all_subgroups, naive_closure, word_closure
 
 
 def cyc(n, *cycles):
