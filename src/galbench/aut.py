@@ -40,9 +40,10 @@ from .structure import Structure
 #: search in the benchmark makes 2,643.
 SEARCH_WORK_CAP = 500_000
 
-#: A Schreier vector: each orbit point maps to the images of the generator
-#: that first reached it, the base point to None.
-_Vector = dict[int, tuple[int, ...] | None]
+#: A Schreier vector: each orbit point maps to the generator that first
+#: reached it, the base point to None.  A `Perm` is its image tuple, so the
+#: vector indexes it directly.
+_Vector = dict[int, Perm | None]
 
 #: Per element, its (relation index, table, tuple) entries.
 _Incidence = list[list[tuple[int, frozenset, tuple[int, ...]]]]
@@ -214,9 +215,9 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
         while frontier:
             p = frontier.pop()
             for g in gens:
-                q = g.images[p]
+                q = g[p]
                 if q not in seen:
-                    seen[q] = g.images
+                    seen[q] = g
                     frontier.append(q)
         return seen
 

@@ -224,14 +224,12 @@ def _cmd_galois(args, M):
     for f in report.failures:
         lines.append(f"failure [{f.kind}]: {f.subject} (order {f.subject_order}) "
                      f"closes to {f.closure} (order {f.closure_order})")
-    coding = ("pass" if report.coding_ok
-              else "inconclusive" if report.coding_ok is None else "fail")
-    lines.append(f"coding: {coding}")
+    payload = report.to_json_dict()
+    lines.append(f"coding: {payload['coding']}")
     for item in report.coding_failures:
         lines.append(f"  no code for {item}")
-    lines.append(f"verdict: {'pass' if report.verdict else 'fail'}")
-    return ("\n".join(lines), report.to_json_dict(),
-            EXIT_OK if report.verdict else EXIT_VERIFICATION_FAILED)
+    lines.append(f"verdict: {payload['verdict']}")
+    return "\n".join(lines), payload, EXIT_OK if report.verdict else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_tower(args, M):

@@ -21,7 +21,7 @@ structures may be computed concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -381,14 +381,7 @@ class CodesReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "max_set_size": self.max_set_size,
-            "max_len": self.max_len,
-            "sets_checked": self.sets_checked,
-            "failures": [list(f) for f in self.failures],
-            "verdict": "pass" if self.verdict else "fail",
-        }
+        return {**asdict(self), "verdict": "pass" if self.verdict else "fail"}
 
 
 def codes_finite_sets(M: Structure, max_set_size: int = 2,
@@ -410,7 +403,7 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
     reps: list[tuple[tuple[int, ...], int]] = []  # (representative, setwise mask)
     seen: set[tuple[int, ...]] = set()
     work = 0
-    for size in range(1, max_set_size + 1):
+    for size in range(1, min(max_set_size, M.size) + 1):
         for combo in combinations(range(M.size), size):
             if combo in seen:
                 continue
@@ -421,7 +414,7 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
             # its orbit met is the orbit's least member, its representative
             setwise = 0
             for k, g in enumerate(elems):
-                image = tuple(sorted(g(e) for e in combo))
+                image = tuple(sorted(g[e] for e in combo))
                 seen.add(image)
                 if image == combo:
                     setwise |= 1 << k
@@ -586,13 +579,7 @@ class DualityFailure:
     closure_order: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "subject": self.subject,
-            "subject_order": self.subject_order,
-            "closure": self.closure,
-            "closure_order": self.closure_order,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -744,7 +731,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     else:
         gen_positions = tuple(points.index(e) for e in gen)
         for mask, _ in lattice:
-            F = {tuple(points[table.elements[i].images[p]] for p in gen_positions)
+            F = {tuple(points[table.elements[i][p]] for p in gen_positions)
                  for i in _bits(mask)}
             if find_code(M, F, max_len) is None:
                 coding_failures.append(fmt_set(fmt_tuple(M, t) for t in sorted(F)))

@@ -61,63 +61,68 @@ DEFAULT_SUBGROUP_CAP = 2000
 LATTICE_WORK_CAP = 3_000_000
 
 
-class Perm:
-    """A permutation of 0..n-1, stored as the tuple of images."""
+class Perm(tuple):
+    """A permutation of 0..n-1, stored as the tuple of its images: p[x] == p(x).
 
-    __slots__ = ("images",)
+    Equality, ordering and hashing are the tuple's, so a `Perm` equals, sorts
+    and hashes like the plain tuple of its images.  `Perm(images)` checks that
+    the images are a bijection; `*` composes, while `+` and `k * p` are tuple
+    operations.
+    """
 
-    def __init__(self, images: Iterable[int]):
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]):
         images = tuple(images)
         if set(images) != set(range(len(images))):
             raise GroupError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
+        return tuple.__new__(cls, images)
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return _trusted(tuple(range(degree)))
+        return _trusted(range(degree))
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
-        img, other_img = self.images, other.images
-        if len(img) != len(other_img):
+        if len(self) != len(other):
             raise GroupError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return _trusted(tuple(map(img.__getitem__, other_img)))
+        return _trusted(map(self.__getitem__, other))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return _trusted(tuple(inv))
+        return _trusted(inv)
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        return self == tuple(range(len(self)))
 
     def apply_tuple(self, t: Sequence[int]) -> tuple[int, ...]:
-        return tuple(map(self.images.__getitem__, t))
+        return tuple(map(self.__getitem__, t))
 
     def apply_set(self, s: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[e] for e in s)
+        return frozenset(map(self.__getitem__, s))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()
         out = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
+        for start in range(len(self)):
+            if start in seen or self[start] == start:
                 continue
             cyc = [start]
             seen.add(start)
-            nxt = self.images[start]
+            nxt = self[start]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = self.images[nxt]
+                nxt = self[nxt]
             out.append(tuple(cyc))
         return out
 
@@ -130,25 +135,14 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm[{self}]"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
 
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-
-def _trusted(images: tuple[int, ...]) -> Perm:
+def _trusted(images: Iterable[int]) -> Perm:
     """A Perm built without the bijectivity check.
 
-    Only for image tuples that are bijections by construction: the identity,
-    and products and inverses of Perms.
+    Only for images that are bijections by construction: the identity,
+    products and inverses of Perms, and the image tuples of group elements.
     """
-    p = object.__new__(Perm)
-    p.images = images
-    return p
+    return tuple.__new__(Perm, images)
 
 
 def _check_cap(order: int) -> None:
@@ -166,7 +160,7 @@ def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
     """
     i = start
     while i < len(base):
-        u = trans[i].get(g.images[base[i]])
+        u = trans[i].get(g[base[i]])
         if u is None:
             return g, i
         g = u.inverse() * g
@@ -208,7 +202,7 @@ class PermGroup:
         """The points fixed by every element, computed on first use and kept."""
         if self._fixed is None:
             self._fixed = frozenset(x for x in range(self.degree)
-                                    if all(g.images[x] == x for g in self.generators))
+                                    if all(g[x] == x for g in self.generators))
         return self._fixed
 
     def point_orbits(self) -> tuple[frozenset[int], ...]:
@@ -217,7 +211,7 @@ class PermGroup:
         and kept.  The points of one orbit share one frozenset."""
         if self._orbits is None:
             orbits: list[frozenset[int] | None] = [None] * self.degree
-            images = [g.images for g in self.generators]
+            gens = self.generators
             for start in range(self.degree):
                 if orbits[start] is not None:
                     continue
@@ -226,8 +220,8 @@ class PermGroup:
                 while frontier:
                     nxt = []
                     for p in frontier:
-                        for img in images:
-                            q = img[p]
+                        for g in gens:
+                            q = g[p]
                             if q not in seen:
                                 seen.add(q)
                                 nxt.append(q)
@@ -247,16 +241,17 @@ class PermGroup:
 
         Each element is one product u_0 * u_1 * ... of transversal elements,
         one per level.  The products are built as plain image tuples, layer by
-        layer from the deepest level up, and sorted as tuples; only then is
-        each wrapped as a `Perm`.  `Perm.__lt__` compares image tuples, so the
-        order is the one sorting the Perms would give.
+        layer from the deepest level up, sorted, and only then made `Perm`s:
+        `list.sort` has a fast path for exact tuples that a tuple subclass
+        misses, and a `Perm` sorts as its image tuple, so the order is the one
+        sorting the Perms would give.
         """
         _check_cap(self.order)
         elems = [tuple(range(self.degree))]
         for i in reversed(range(len(self.base))):
             layer = []
             for point in sorted(self._trans[i]):
-                u = self._trans[i][point].images.__getitem__
+                u = self._trans[i][point].__getitem__
                 layer.extend(tuple(map(u, e)) for e in elems)
             elems = layer
         elems.sort()
@@ -344,14 +339,14 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
         add_base_point(pt)
 
     def min_moved(g: Perm) -> int:
-        for i, j in enumerate(g.images):
+        for i, j in enumerate(g):
             if i != j:
                 return i
         raise InternalCheckError("identity has no moved point")
 
     def distribute(g: Perm):
         j = 0
-        while j < len(base) and g(base[j]) == base[j]:
+        while j < len(base) and g[base[j]] == base[j]:
             j += 1
         if j == len(base):
             add_base_point(min_moved(g))
@@ -369,7 +364,7 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
             nxt = []
             for p in frontier:
                 for s in levels[i]:
-                    q = s(p)
+                    q = s[p]
                     if q not in t:
                         t[q] = s * t[p]
                         nxt.append(q)
@@ -390,7 +385,7 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
             u = trans[i][point]
             for s in level_gens:
                 su = s * u
-                rep = trans[i][s(point)]
+                rep = trans[i][s[point]]
                 if su == rep:
                     continue
                 schreier = rep.inverse() * su
@@ -534,7 +529,7 @@ class ElementTable:
         masks = []
         for g in elements:
             mask = 0
-            for x, y in enumerate(g.images):
+            for x, y in enumerate(g):
                 if x == y:
                     mask |= 1 << x
             masks.append(shared.setdefault(mask, mask))
@@ -551,7 +546,7 @@ class ElementTable:
     def index(self) -> dict[tuple[int, ...], int]:
         """Image tuple -> element index."""
         if self._index is None:
-            self._index = {g.images: i for i, g in enumerate(self.elements)}
+            self._index = {g: i for i, g in enumerate(self.elements)}
         return self._index
 
     def fixed(self, mask: int) -> int:
@@ -584,8 +579,7 @@ class ElementTable:
         enough: an element is injective on tuples and the set is finite)."""
         out = 0
         for i, g in enumerate(self.elements):
-            img = g.images
-            if all(tuple(map(img.__getitem__, t)) in tuples for t in tuples):
+            if all(tuple(map(g.__getitem__, t)) in tuples for t in tuples):
                 out |= 1 << i
         return out
 
@@ -593,9 +587,9 @@ class ElementTable:
         """column(j)[i] is the index of elements[i] * elements[j]."""
         col = self._columns.get(j)
         if col is None:
-            g = self.elements[j].images
+            g = self.elements[j]
             index = self.index()
-            col = [index[tuple(map(e.images.__getitem__, g))] for e in self.elements]
+            col = [index[tuple(map(e.__getitem__, g))] for e in self.elements]
             self._columns[j] = col
         return col
 
@@ -641,7 +635,7 @@ class ElementTable:
             mask = 1
             x = g
             while x != ident:
-                mask |= 1 << index[x.images]
+                mask |= 1 << index[x]
                 x = x * g
             if mask not in seen:
                 seen.add(mask)
@@ -735,7 +729,7 @@ def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:
     if not _is_invariant(G, frozenset(points)):
         raise NotInvariantError(f"set {points} is not setwise invariant under the group")
     index = {e: i for i, e in enumerate(points)}
-    restricted = [Perm(index[g(e)] for e in points) for g in G.generators]
+    restricted = [Perm(index[g[e]] for e in points) for g in G.generators]
     # No known order for the image: the check below is what tests the split.
     image = close_group(restricted, degree=len(points))
     kernel = stabilizer_pointwise(G, points)

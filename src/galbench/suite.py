@@ -82,7 +82,7 @@ def _antitone_law(M: Structure, C: frozenset[int], A: frozenset[int],
     fixes = []
     for _, gens in subs:
         fixed = frozenset(points[i] for i in range(G_rel.degree)
-                          if all(g.images[i] == i for g in gens))
+                          if all(g[i] == i for g in gens))
         if fixed not in closures:
             _require_closed_in(M, C, fixed)
             closures[fixed] = fix_of_set(M, C, A, fixed)

@@ -279,7 +279,7 @@ def slow_orbit_product(generators, degree) -> int:
     generators alone: the generators of level x are those whose smallest
     moved point is >= x, and the product over x of the orbit of x under
     them is the search's per-level orbit product."""
-    first_moved = [next(i for i, j in enumerate(g.images) if i != j)
+    first_moved = [next(i for i, j in enumerate(g) if i != j)
                    for g in generators]
     order = 1
     for x in range(degree):
@@ -289,7 +289,7 @@ def slow_orbit_product(generators, degree) -> int:
         while frontier:
             p = frontier.pop()
             for g in level:
-                q = g.images[p]
+                q = g[p]
                 if q not in seen:
                     seen.add(q)
                     frontier.append(q)
@@ -383,7 +383,7 @@ def cyclic_join_subgroups(G) -> list[tuple[list[Perm], list[Perm]]]:
             if join not in gens_of:
                 gens_of[join] = minimal_generators(sorted(join))
                 worklist.append(join)
-    ordered = sorted(gens_of, key=lambda s: (len(s), sorted(p.images for p in s)))
+    ordered = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
     return [(sorted(s), gens_of[s]) for s in ordered]
 
 

@@ -454,6 +454,16 @@ def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: codes report passed 1000000 point images\n"
 
 
+def test_codes_report_set_size_past_the_universe_costs_nothing_extra():
+    """No set is larger than the universe, so a huge --max-set-size answers
+    as the universe's size does (sizes past it once took quadratic time)."""
+    start = time.perf_counter()
+    code, text = run(["codes-report", "corpus:RIGID3", "--max-set-size", "1000000000"])
+    assert time.perf_counter() - start < 2
+    assert (code, text) == run(["codes-report", "corpus:RIGID3", "--max-set-size", "3"])
+    assert code == 0
+
+
 def _cycle_edges(*lengths):
     edges, start = [], 0
     for m in lengths:

@@ -119,8 +119,8 @@ def test_public_perm_still_checks_bijectivity():
         Perm([0, 0])
     p = cyc(5, (0, 1, 2), (3, 4))
     q = cyc(5, (1, 4))
-    assert p * q == Perm((p * q).images)
-    assert p.inverse() == Perm(p.inverse().images)
+    assert p * q == Perm(p * q)
+    assert p.inverse() == Perm(p.inverse())
     assert Perm.identity(5) == Perm(range(5))
 
 
@@ -525,7 +525,7 @@ def assert_kernel_matches_slow_path(M):
     for G in kernel_groups(M):
         elems = G.elements()
         assert elems == oracles.slow_elements(G)
-        assert all(type(g) is Perm and type(g.images) is tuple for g in elems)
+        assert all(type(g) is Perm and isinstance(g, tuple) for g in elems)
         orbits = G.point_orbits()
         assert orbits == tuple(frozenset(t[0] for t in orbit(G, (x,)))
                                for x in range(G.degree))

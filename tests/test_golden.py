@@ -18,10 +18,8 @@ CASES = [
     ("galois-EX_RS", 1, ["galois", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d"]),
     ("galois-EX_RS-json", 1, ["galois", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d",
                               "--format", "json"]),
-    ("galois-GF16", 0, ["galois", "corpus:GF16", "--base", "0,1", "--top", "ALL"]),
     ("galois-C5", 0, ["galois", "corpus:C5", "--top", "ALL"]),
-    ("tower-GF16", 0, ["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL"]),
-    ("codes-report-GF16", 0, ["codes-report", "corpus:GF16"]),
+    ("codes-report-EX_RS-json", 0, ["codes-report", "corpus:EX_RS", "--format", "json"]),
     ("verify-C5-json", 0, ["verify", "corpus:C5", "--trials", "10", "--format", "json"]),
     ("verify-EX_RS", 0, ["verify", "corpus:EX_RS", "--trials", "10"]),
     ("verify-GF4-json", 0, ["verify", "corpus:GF4", "--trials", "20", "--seed", "3",
@@ -30,17 +28,21 @@ CASES = [
                                "--format", "json"]),
     ("verify-GF16-json", 0, ["verify", "corpus:GF16", "--trials", "20", "--seed", "3",
                              "--format", "json"]),
+]
+
+# Subcommands pinned in both output formats, with the README's arguments
+# where the README has an example (parse and acl have none, and the README's
+# galois example is EX_RS's).
+BOTH_FORMATS = [
     ("aut-EX_RS", 0, ["aut", "corpus:EX_RS"]),
     ("aut-GF16-fixing", 0, ["aut", "corpus:GF16", "--fixing", "0,1"]),
     ("dcl-EX_RS", 0, ["dcl", "corpus:EX_RS", "--set", "a"]),
     ("generator-GF16", 0, ["generator", "corpus:GF16", "--base", "0,1", "--top", "ALL"]),
     ("code-EX_RS", 0, ["code", "corpus:EX_RS", "--tuples", "a;b"]),
+    ("codes-report-GF16", 0, ["codes-report", "corpus:GF16"]),
     ("msym-code-GF4", 0, ["msym-code", "corpus:GF4", "--tuples", "w;w2"]),
-]
-
-# Subcommands pinned in both output formats, with the README's arguments
-# where the README has an example (parse and acl have none).
-BOTH_FORMATS = [
+    ("tower-GF16", 0, ["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL"]),
+    ("galois-GF16", 0, ["galois", "corpus:GF16", "--base", "0,1", "--top", "ALL"]),
     ("corpus-list", 0, ["corpus", "list"]),
     ("parse-EX_RS", 0, ["parse", "corpus:EX_RS", "E y. R(x,y) & S(y,a)"]),
     ("eval-EX_RS", 0, ["eval", "corpus:EX_RS", "A x. E y. R(x,y)"]),

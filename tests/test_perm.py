@@ -45,6 +45,24 @@ def test_cycle_notation():
     assert str(cyc(5, (1, 3, 2))) == "(1 3 2)"
 
 
+def test_perm_is_its_image_tuple():
+    p = cyc(5, (0, 1, 2), (3, 4))
+    q = cyc(5, (1, 4))
+    assert p == (1, 2, 0, 4, 3) and hash(p) == hash((1, 2, 0, 4, 3))
+    # a dict keyed by Perms is found by plain image tuples
+    index = {g: i for i, g in enumerate([p, q])}
+    assert index[(0, 4, 2, 3, 1)] == 1
+    perms = [p, q, Perm.identity(5), p * q, q.inverse() * p]
+    assert sorted(perms) == sorted(perms, key=tuple)
+    assert [tuple(g) for g in sorted(perms)] == sorted(tuple(g) for g in perms)
+    G = close_group([p, q])
+    for g in [p * q, p.inverse(), Perm.identity(5), *G.elements()]:
+        assert type(g) is Perm
+    assert all(p(x) == p[x] for x in range(5))
+    with pytest.raises(GroupError, match=r"^not a bijection of 0\.\.1: \(0, 0\)$"):
+        Perm([0, 0])
+
+
 # -- close_group -----------------------------------------------------------------
 
 
