@@ -12,13 +12,12 @@ from .errors import (CapError, DslError, EvalError, FieldEncodingError,
                      InconclusiveError, InternalCheckError, NotInvariantError,
                      StructureError)
 from .structure import (DEFAULT_UNIVERSE_CAP, Signature, Structure,
-                        dump_structure, eval_relation, load_structure)
+                        dump_structure, load_structure)
 from .formula import (Formula, evaluate, format_formula, free_variables,
                       parameters, parse_formula, solution_set)
 from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, ElementTable, Perm,
                    PermGroup, Restriction, close_group, is_normal_subgroup,
-                   orbit, restrict_to_invariant_set, setwise_stabilizer,
-                   stabilizer_pointwise, trivial_group)
+                   orbit, restrict_to_invariant_set, stabilizer_pointwise)
 from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
                   relative_restriction, search_automorphism_generators)
 from .galois import (DEFAULT_MAX_LEN, CodesReport, DualityFailure, FieldOps,

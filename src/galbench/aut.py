@@ -2,11 +2,13 @@
 
 The engine searches level by level over the base points, deepest level
 first, and emits a strong generating set, so large symmetric groups come out
-as a few generators instead of an element list; the group's order is the
-product of the per-level orbit sizes.  Candidate maps are pruned by a
-stable vertex coloring (equitable refinement: each element is signed by the
-colors of its tuples, its own positions marked) and by incremental
-forward/backward table checks.
+as a few generators instead of an element list.  Each level keeps its base
+point's orbit as a transversal, so the search ends holding the group's
+stabilizer chain, and `automorphism_group` returns that chain as it is: no
+second Schreier-Sims pass closes the generators again.  Candidate maps are
+pruned by a stable vertex coloring (equitable refinement: each element is
+signed by the colors of its tuples, its own positions marked) and by
+incremental forward/backward table checks.
 
 Each candidate x -> y is settled in two parts.  Existence: a backtrack
 assigns the unmapped elements in breadth-first order from the mapped ones
@@ -14,10 +16,10 @@ over the Gaifman graph (two elements are neighbours when they share a
 tuple), so each assignment is checked against mapped neighbours at once and
 draws its image from the neighbours of its parent's image.  Canonical form:
 the automorphism found is replaced by the lex-least element of its coset of
-the deeper levels' group, read off their Schreier vectors one base point at
-a time (Seress, *Permutation Group Algorithms*, 2003).  That element is the
-first leaf of a backtrack over positions 0..n-1 with ascending images, so
-the generators do not depend on the order in which the existence search
+the deeper levels' group, read off their transversals one base point at a
+time (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  That element is
+the first leaf of a backtrack over positions 0..n-1 with ascending images,
+so the generators do not depend on the order in which the existence search
 assigns elements.
 
 Pointwise stabilizers, and with them every `Aut(M/A)`, are derived from the
@@ -27,10 +29,11 @@ and the test suite cross-checks them.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Iterable
 
-from .errors import CapError, NotInvariantError, StructureError
-from .perm import (Perm, PermGroup, Restriction, close_group,
+from .errors import CapError, InternalCheckError, NotInvariantError, StructureError
+from .perm import (Perm, PermGroup, Restriction, _transversal,
                    restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
@@ -39,11 +42,6 @@ from .structure import Structure
 #: automorphism search makes before it stops with `CapError`.  The largest
 #: search in the benchmark makes 2,643.
 SEARCH_WORK_CAP = 500_000
-
-#: A Schreier vector: each orbit point maps to the generator that first
-#: reached it, the base point to None.  A `Perm` is its image tuple, so the
-#: vector indexes it directly.
-_Vector = dict[int, Perm | None]
 
 #: Per element, its (relation index, table, tuple) entries.
 _Incidence = list[list[tuple[int, frozenset, tuple[int, ...]]]]
@@ -115,25 +113,31 @@ def _walk(neighbours: Callable[[int], list[int]], n: int,
 
 
 def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
-                                   ) -> tuple[list[Perm], int]:
-    """Generators of the group of automorphisms fixing `fixed` pointwise, and
-    the group's order.
+                                   ) -> PermGroup:
+    """The group of automorphisms fixing `fixed` pointwise, with the
+    stabilizer chain the search builds.
 
     Deterministic: base points ascending, candidate images ascending, and the
     resulting generators sorted by image tuple.  Each level ends with the
     whole orbit of its base point under the stabilizer of the points before
-    it, so the product of those orbit sizes is the order.
+    it, kept as a transversal (`perm._transversal`) of the generators found
+    at that level or deeper.  The chain keeps the levels whose orbit has
+    more than one point, in ascending base order, and the order is the
+    product of the transversal sizes.
 
     Levels run deepest first, and each candidate x -> y of level i is
     settled in two parts.  Existence: a backtrack assigns the other elements
     in breadth-first order over the Gaifman graph from the mapped ones, each
     image drawn from the neighbours of its parent's image and checked
     against its mapped neighbours at once.  Canonical form: the automorphism
-    g found is replaced by the lex-least element of its coset g·G_{i+1},
-    read off the deeper levels' Schreier vectors by mapping each later base
-    point to the least image it can reach.  The reported generator is the
-    first automorphism a backtrack over positions 0..n-1 with ascending
-    images would reach, so it does not depend on the order of assignment.
+    g found is replaced by the lex-least element of its coset g·G_{i+1}:
+    for each deeper level in ascending base order, g is composed with the
+    transversal element that sends that base point to its least image under
+    g.  The points before that base point are fixed by the level's group,
+    so this is the same element whichever transversal is used.  The
+    reported generator is the first automorphism a backtrack over positions
+    0..n-1 with ascending images would reach, so it does not depend on the
+    order of assignment.
     Past `SEARCH_WORK_CAP` consistency checks the search raises `CapError`.
     """
     fixed = M.check_subset(fixed, "fixed set")
@@ -206,39 +210,21 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
         return False
 
     base = [x for x in range(n) if x not in fixed]
+    ident = Perm.identity(n)
     gens: list[Perm] = []
-    schreier: list[_Vector] = [{}] * len(base)  # per level, once it is complete
+    # (base point, generators found at its level or deeper, transversal) for
+    # each completed level whose orbit has more than one point, deepest first
+    chain: list[tuple[int, tuple[Perm, ...], dict[int, Perm]]] = []
 
-    def reach(x0: int) -> _Vector:
-        seen: _Vector = {x0: None}
-        frontier = [x0]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = g[p]
-                if q not in seen:
-                    seen[q] = g
-                    frontier.append(q)
-        return seen
-
-    def lex_least(g: list[int], i: int) -> list[int]:
-        for j in range(i + 1, len(base)):
-            vector = schreier[j]
-            if len(vector) == 1:
-                continue
-            d = min(vector, key=g.__getitem__)
-            s = vector[d]
-            while s is not None:
-                g = [g[q] for q in s]
-                d = s.index(d)
-                s = vector[d]
+    def lex_least(g: list[int]) -> list[int]:
+        for _, _, t in reversed(chain):
+            g = [g[q] for q in t[min(t, key=g.__getitem__)]]
         return g
 
-    order = 1
     for i in reversed(range(len(base))):
         x = base[i]
         prefix = fixed.union(base[:i])
-        known = reach(x)
+        known = _transversal(x, gens, ident)
         walk = None
         for y in range(n):
             if y == x or y in known or y in prefix or colors[y] != colors[x]:
@@ -253,14 +239,18 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
             if walk is None:
                 walk = _walk(neighbours, n, prefix | {x})
             if extend(0):
-                gens.append(Perm(lex_least(img, i)))
-                known = reach(x)
-        schreier[i] = known
-        order *= len(known)
+                gens.append(Perm(lex_least(img)))
+                known = _transversal(x, gens, ident)
+        if len(known) > 1:
+            chain.append((x, tuple(gens), known))
         for e in range(n):
             img[e] = -1
             pre[e] = -1
-    return sorted(gens), order
+    chain.reverse()
+    trans = tuple(t for _, _, t in chain)
+    return PermGroup(n, tuple(sorted(gens)), tuple(x for x, _, _ in chain),
+                     tuple(level for _, level, _ in chain), trans,
+                     prod(map(len, trans)))
 
 
 def _cache(M: Structure) -> dict:
@@ -271,14 +261,18 @@ def automorphism_group(M: Structure) -> PermGroup:
     """The group of all bijections of the universe preserving every relation
     table in both directions.
 
-    The closure is told the order the search returns and skips the redundant
-    sifting; a mismatch raises `InternalCheckError`.
+    This is the search's own group and chain; nothing closes it again.  Each
+    generator is sifted through that chain once, and one that does not sift
+    to the identity raises `InternalCheckError`.  The tests compare the
+    chain with full closures of its generators.
     """
     cache = _cache(M)
     got = cache.get(frozenset())
     if got is None:
-        gens, order = search_automorphism_generators(M)
-        got = close_group(gens, degree=M.size, known_order=order)
+        got = search_automorphism_generators(M)
+        if not all(got.contains(g) for g in got.generators):
+            raise InternalCheckError(
+                "an automorphism the search found does not sift through its chain")
         cache[frozenset()] = got
     return got
 

@@ -1,12 +1,12 @@
 """Finite permutations and permutation groups.
 
 Groups carry a stabilizer chain (base points, per-level strong generators,
-and transversals) built by a deterministic Schreier-Sims pass, giving exact
-orders and a sound, complete membership test.  After any forced prefix, each
-new base point is the smallest point moved by the first generator or Schreier
-residue that fixes the current base, and every iteration order is fixed, so
-identical inputs always produce identical chains, generator lists, and
-reports.
+and transversals) built by a deterministic Schreier-Sims pass, or by the
+automorphism search, giving exact orders and a sound, complete membership
+test.  After any forced prefix, each new base point is the smallest point
+moved by the first generator or Schreier residue that fixes the current
+base, and every iteration order is fixed, so identical inputs always
+produce identical chains, generator lists, and reports.
 
 When the group's order is known in advance, `close_group(..., known_order=N)`
 stops testing Schreier generators as soon as the product of the current
@@ -20,9 +20,10 @@ transversal is already its full orbit and the base's pointwise stabilizer is
 trivial, so every remaining Schreier generator sifts to the identity and no
 level, base point or transversal would change.  Only those sifts are skipped;
 every transversal is still rebuilt where the full pass rebuilds it.  The
-order is passed only where it is exact (a completed chain's order, a
-subgroup mask's size, the order the automorphism search returns), and a
-finished chain whose order differs from it raises `InternalCheckError`.
+order is passed only where it is exact (in the package, `stabilizer_pointwise`
+passes its group's order), and a finished chain whose order differs from it
+raises `InternalCheckError`.  The automorphism search builds its chain
+without any closure, with the same transversal builder, `_transversal`.
 
 Groups are immutable once closed; membership tests and queries are pure.
 Each group fills four slots on first use and keeps them: its element table,
@@ -151,6 +152,24 @@ def _check_cap(order: int) -> None:
             f"group of order {order} exceeds enumeration cap {DEFAULT_ELEMENT_CAP}")
 
 
+def _transversal(point: int, gens: Sequence[Perm], ident: Perm) -> dict[int, Perm]:
+    """The orbit of `point` under `gens`, each orbit point q mapped to a
+    product u of generators with u(point) == q; breadth first, so the
+    products are as short as the orbit allows."""
+    t = {point: ident}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in gens:
+                q = s[p]
+                if q not in t:
+                    t[q] = s * t[p]
+                    nxt.append(q)
+        frontier = nxt
+    return t
+
+
 def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
           start: int = 0) -> tuple[Perm, int]:
     """Strip g down a stabilizer chain from level `start`.
@@ -171,8 +190,9 @@ def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
 class PermGroup:
     """A permutation group represented by a completed stabilizer chain.
 
-    Construct through `close_group`, or as a sub-chain of one from some level
-    on (as `stabilizer_pointwise` does); the constructor trusts its arguments.
+    Construct through `close_group`, a sub-chain of one from some level on
+    (as `stabilizer_pointwise` does), or the automorphism search; the
+    constructor trusts its arguments.
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
@@ -358,18 +378,7 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
         distribute(g)
 
     def rebuild(i: int):
-        t = {base[i]: ident}
-        frontier = [base[i]]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for s in levels[i]:
-                    q = s[p]
-                    if q not in t:
-                        t[q] = s * t[p]
-                        nxt.append(q)
-            frontier = nxt
-        trans[i] = t
+        trans[i] = _transversal(base[i], levels[i], ident)
 
     def reached() -> bool:
         """Does the chain already have the known order?"""
@@ -412,10 +421,6 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
             f"closed group has order {order}, not the known order {known_order}")
     return PermGroup(degree, tuple(gens), tuple(base), tuple(tuple(l) for l in levels),
                      tuple(trans), order)
-
-
-def trivial_group(degree: int) -> PermGroup:
-    return close_group([], degree=degree)
 
 
 # -- actions and stabilizers ----------------------------------------------------
@@ -481,20 +486,6 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
         got = memo[key] = PermGroup(G.degree, tuple(gens), chain.base[k:],
                                     chain._levels[k:], trans, prod(map(len, trans)))
     return got
-
-
-def setwise_stabilizer(G: PermGroup, F: Iterable[Sequence[int]]) -> PermGroup:
-    """The subgroup of G mapping the set of tuples F onto itself."""
-    tuples = {tuple(t) for t in F}
-    lengths = {len(t) for t in tuples}
-    if len(lengths) > 1:
-        raise GroupError(f"mixed tuple lengths in set: {sorted(lengths)}")
-    for t in tuples:
-        _check_entries(G, t)
-    table = G.element_table()
-    kept = table.setwise(tuples)
-    return close_group(table.perms(table.minimal_generators(kept)), degree=G.degree,
-                       known_order=kept.bit_count())
 
 
 # -- element tables and the subgroup lattice --------------------------------------

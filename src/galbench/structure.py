@@ -176,15 +176,6 @@ class Structure:
         return f"Structure({self.name!r}, |universe|={self.size}, rels=[{rels}])"
 
 
-def eval_relation(M: Structure, name: str, t: tuple[int, ...]) -> bool:
-    """Atomic satisfaction: is the tuple in the named relation's table?"""
-    arity = M.signature.arity(name)
-    t = M.check_tuple(t)
-    if len(t) != arity:
-        raise StructureError(f"relation {name!r} has arity {arity}, got tuple of length {len(t)}")
-    return t in M.tables[name]
-
-
 # -- text format -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[{}()=,/]")

@@ -3,7 +3,8 @@ duality laws on randomly drawn parameter sets, tuples, and towers over a
 structure, plus the deterministic duality check where its hypotheses hold.
 
 Instances are drawn from a seeded generator, so a (structure, seed, trials)
-triple always reproduces the same run.
+triple always reproduces the same run.  More than `SUITE_TRIALS_CAP` trials
+are refused with `CapError` before any work is done.
 """
 
 from __future__ import annotations
@@ -12,13 +13,23 @@ import random
 from dataclasses import dataclass, field
 
 from .aut import automorphism_group_fixing, relative_aut
-from .errors import GalbenchError
+from .errors import CapError, GalbenchError
 from .galois import (DEFAULT_MAX_LEN, _require_closed_in, acl, codes_finite_sets,
                      dcl, degree_of_extension, extension_aut_order, find_generator,
                      fix_of_set, fix_of_subgroup, is_normal_extension, orbit_over,
                      verify_galois_correspondence, verify_tower)
 from .perm import PermGroup, is_normal_subgroup, orbit, stabilizer_pointwise
 from .structure import Structure
+
+#: Most randomized trials one suite run makes.  A trial takes up to about
+#: 0.3 ms on the corpus structures, so the cap bounds a run at seconds; the
+#: benchmark asks for at most 20.
+SUITE_TRIALS_CAP = 10_000
+
+
+def _check_trials(trials: int) -> None:
+    if trials > SUITE_TRIALS_CAP:
+        raise CapError(f"{trials} trials exceed the suite's cap of {SUITE_TRIALS_CAP}")
 
 
 @dataclass
@@ -126,6 +137,7 @@ def _once(fn, *args):
 def run_law_suite(M: Structure, trials: int = 200, seed: int = 0,
                   max_len: int = DEFAULT_MAX_LEN) -> SuiteReport:
     """Run every randomized law `trials` times over structure M."""
+    _check_trials(trials)
     rng = random.Random(seed)
     n = M.size
 
@@ -269,8 +281,9 @@ def run_full_verification(M: Structure, trials: int = 200, seed: int = 0,
 
     The duality check runs first, so a structure past its caps is rejected
     before the randomized suite does any work; its law is still listed after
-    the suite's.
+    the suite's.  A trial count past the cap is refused before either runs.
     """
+    _check_trials(trials)
     duality = run_duality_check(M, max_len=max_len)
     report = run_law_suite(M, trials=trials, seed=seed, max_len=max_len)
     report.laws.append(duality)

@@ -13,7 +13,8 @@ the structure parser built on token objects, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
 here as references.  So is `all_subgroups`, the package's lattice masks
-closed into one group each: the reference lattice the tests walk.
+closed into one group each: the reference lattice the tests walk; and
+`setwise_stabilizer`, the reference for `ElementTable.setwise`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable
 from galbench import perm, structure
 from galbench.aut import (_incidence, _stable_colors, automorphism_group,
                           automorphism_group_fixing, relative_restriction)
-from galbench.errors import (CapError, DslError, HypothesisError,
+from galbench.errors import (CapError, DslError, GroupError, HypothesisError,
                              InternalCheckError, StructureError)
 from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
                               Implies, Not, Or)
@@ -399,6 +400,20 @@ def all_subgroups(G) -> list:
     table = G.element_table()
     return [close_group(table.perms(gens), degree=G.degree, known_order=mask.bit_count())
             for mask, gens in table.subgroups()]
+
+
+def setwise_stabilizer(G, F) -> "perm.PermGroup":
+    """The subgroup of G mapping the set of tuples F onto itself: G's
+    elements filtered one by one, closed on their minimal generators and
+    told their count."""
+    tuples = {tuple(t) for t in F}
+    lengths = {len(t) for t in tuples}
+    if len(lengths) > 1:
+        raise GroupError(f"mixed tuple lengths in set: {sorted(lengths)}")
+    if any(not 0 <= e < G.degree for t in tuples for e in t):
+        raise GroupError(f"tuple entry out of range for degree {G.degree}")
+    kept = [g for g in G.elements() if {g.apply_tuple(t) for t in tuples} == tuples]
+    return close_group(minimal_generators(kept), degree=G.degree, known_order=len(kept))
 
 
 def two_close_stabilizer(G, points):

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -8,14 +9,14 @@ from galbench.corpus import CORPUS
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction,
                           search_automorphism_generators)
-from galbench.errors import NotInvariantError, StructureError
-from galbench.perm import Perm, close_group, stabilizer_pointwise
+from galbench.errors import InternalCheckError, NotInvariantError, StructureError
+from galbench.perm import Perm, PermGroup, close_group, stabilizer_pointwise
 from galbench.structure import load_structure
 
 from oracles import (brute_automorphisms, frobenius_perm, naive_closure,
                      slow_orbit_product, slow_search_automorphism_generators,
                      slow_stable_colors)
-from test_cli import LABELLED_GRAPHS, LABELLINGS, labelled_graph_text
+from test_cli import LABELLED_GRAPHS, LABELLINGS, SPLITTING_GRAPHS, labelled_graph_text
 from test_fastpaths import GENERATED
 from test_perm import chain
 
@@ -55,19 +56,35 @@ def test_fixing_examples(ex_rs):
     assert automorphism_group_fixing(ex_rs, frozenset(range(6))).order == 1
 
 
-def test_fixing_nothing_on_a_fresh_structure_closes_once(monkeypatch):
+def test_fixing_nothing_on_a_fresh_structure_closes_nothing(monkeypatch):
+    """Aut(M) is the search's own chain: no closure runs for it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return close_group(*args, **kwargs)
 
-    monkeypatch.setattr(aut, "close_group", counted)
+    assert not hasattr(aut, "close_group")
     monkeypatch.setattr(perm, "close_group", counted)
     M = load_structure(CORPUS["EX_RS"].source)
     G = automorphism_group_fixing(M, frozenset())
-    assert len(calls) == 1
+    assert calls == []
     assert G is automorphism_group(M) and G.order == 8
+
+
+def test_a_generator_that_does_not_sift_raises(monkeypatch):
+    """A chain whose transversal misses a generator's image is caught
+    before it is cached."""
+    def broken(M):
+        G = search_automorphism_generators(M)
+        trans = (dict(list(G._trans[0].items())[:1]),) + G._trans[1:]
+        return PermGroup(G.degree, G.generators, G.base, G._levels, trans, G.order)
+
+    monkeypatch.setattr(aut, "search_automorphism_generators", broken)
+    M = load_structure(CORPUS["EX_RS"].source)
+    with pytest.raises(InternalCheckError, match="does not sift"):
+        automorphism_group(M)
+    assert aut._cache(M) == {}
 
 
 def test_fixing_is_pointwise_stabilizer(corpus_structure):
@@ -86,9 +103,9 @@ def test_fixing_agrees_with_direct_search(corpus_structure):
     rng = random.Random(21)
     for _ in range(5):
         A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
-        gens, _ = search_automorphism_generators(M, A)
-        searched = close_group(gens, degree=M.size)
-        assert searched.equals(automorphism_group_fixing(M, A))
+        S = search_automorphism_generators(M, A)
+        assert S.equals(automorphism_group_fixing(M, A))
+        assert close_group(S.generators, degree=M.size).equals(S)
 
 
 def test_fixing_monotone(gf16):
@@ -158,9 +175,9 @@ def test_sixteen_points_no_relations_handled():
 
 
 def test_determinism_of_generators(ex_rs):
-    a, order = search_automorphism_generators(ex_rs)
-    assert search_automorphism_generators(ex_rs) == (a, order)
-    assert a == sorted(a)
+    G = search_automorphism_generators(ex_rs)
+    assert chain(search_automorphism_generators(ex_rs)) == chain(G)
+    assert list(G.generators) == sorted(G.generators)
 
 
 def test_random_structures_match_brute_force():
@@ -205,18 +222,66 @@ def fixed_sets(M):
         for _ in range(3)]
 
 
+def searched(M, fixed=()):
+    """The search's generators as a list, and its group's order."""
+    G = search_automorphism_generators(M, fixed)
+    return list(G.generators), G.order
+
+
+def assert_search_chain_is_valid(M, fixed=()):
+    """The chain the search returns for `fixed` is a stabilizer chain of
+    the group its generators close to.
+
+    Each transversal element maps its base point to its key and fixes the
+    earlier base points; each level's generators fix the earlier base
+    points; each generator fixes `fixed` and preserves every relation; the
+    order is the product of the transversal sizes; the group equals both
+    closures of its generators, with and without the order, both ways; and
+    up to order 5,000 it has the closure's elements and each generator is
+    the least member of its coset."""
+    G = search_automorphism_generators(M, fixed)
+    n = M.size
+    assert list(G.base) == sorted(set(G.base))
+    for i, point in enumerate(G.base):
+        earlier = G.base[:i]
+        assert len(G._trans[i]) > 1
+        for key, u in G._trans[i].items():
+            assert u[point] == key and all(u[b] == b for b in earlier)
+        assert all(s[b] == b for s in G._levels[i] for b in earlier)
+    for g in G.generators:
+        assert all(g[e] == e for e in fixed)
+        for table in M.tables.values():
+            assert all(g.apply_tuple(t) in table for t in table)
+    assert G.order == prod(map(len, G._trans))
+    plain = close_group(G.generators, degree=n)
+    hinted = close_group(G.generators, degree=n, known_order=G.order)
+    for H in (plain, hinted):
+        assert G.equals(H) and H.equals(G)
+    if G.order <= 5000:
+        assert G.elements() == plain.elements()
+        assert_generators_are_lex_least(G)
+
+
+def assert_generators_are_lex_least(G):
+    """Each generator g of a searched group, its first moved point x, is the
+    least image tuple in its coset g*H, H the elements fixing 0..x: the first
+    automorphism a position-order backtrack reaches."""
+    elements = G.elements()
+    for g in G.generators:
+        x = next(p for p, q in enumerate(g) if p != q)
+        assert g == min(g * h for h in elements if all(h[p] == p for p in range(x + 1)))
+
+
 def assert_orbit_product_is_the_order(M):
     """The order the search returns is its per-level orbit product and the
     order of the group its generators close to, with and without fixed
-    points, and the hinted automorphism group is the unhinted closure, chain
-    and all."""
+    points; its chain is valid; and the automorphism group is the search's
+    own chain."""
     for fixed in fixed_sets(M):
-        gens, order = search_automorphism_generators(M, fixed)
-        plain = close_group(gens, degree=M.size)
-        assert order == slow_orbit_product(gens, M.size) == plain.order
-    G = automorphism_group(M)
-    gens, _ = search_automorphism_generators(M)
-    assert chain(G) == chain(close_group(gens, degree=M.size))
+        gens, order = searched(M, fixed)
+        assert order == slow_orbit_product(gens, M.size)
+        assert_search_chain_is_valid(M, fixed)
+    assert chain(automorphism_group(M)) == chain(search_automorphism_generators(M))
 
 
 def test_orbit_product_is_the_order_on_the_corpus(corpus_structure):
@@ -226,6 +291,24 @@ def test_orbit_product_is_the_order_on_the_corpus(corpus_structure):
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_orbit_product_is_the_order_on_generated_families(name):
     assert_orbit_product_is_the_order(GENERATED[name]())
+
+
+@pytest.mark.parametrize("labelling", range(6))
+@pytest.mark.parametrize("name", sorted(SPLITTING_GRAPHS))
+def test_generators_are_lex_least_on_relabelled_graphs(name, labelling):
+    """Rook4 and Clebsch under several labellings: the existence search
+    often finds a coset member that is not the least, so the deeper levels'
+    transversals must be applied in ascending base order."""
+    M = load_structure(labelled_graph_text(name, SPLITTING_GRAPHS[name], labelling))
+    assert_search_chain_is_valid(M)
+
+
+def test_search_chain_is_valid_on_random_structures():
+    rng = random.Random(37)
+    for trial in range(150):
+        M = random_structure(rng, f"Z{trial}", 7)
+        fixed = tuple(rng.sample(range(M.size), rng.randint(0, min(2, M.size))))
+        assert_search_chain_is_valid(M, fixed)
 
 
 # -- the coloring against the degree-scan coloring it replaced ---------------------
@@ -243,13 +326,13 @@ def assert_coloring_matches_oracle(M, monkeypatch):
         F = frozenset(fixed)
         colors = aut._stable_colors(M, F, aut._incidence(M))
         assert same_partition(colors, slow_stable_colors(M, F))
-        gens, order = search_automorphism_generators(M, fixed)
+        gens, order = searched(M, fixed)
         for g in gens + list(automorphism_group_fixing(M, F).generators):
             assert all(colors[g(e)] == colors[e] for e in range(M.size))
         with monkeypatch.context() as m:
             m.setattr(aut, "_stable_colors",
                       lambda M, fixed, touch: slow_stable_colors(M, fixed))
-            assert search_automorphism_generators(M, fixed) == (gens, order)
+            assert searched(M, fixed) == (gens, order)
 
 
 def test_coloring_matches_oracle_on_the_corpus(corpus_structure, monkeypatch):
@@ -286,12 +369,12 @@ def test_coloring_refines_oracle_on_random_structures(monkeypatch):
         colors = aut._stable_colors(M, F, aut._incidence(M))
         old = slow_stable_colors(M, F)
         assert len(set(zip(colors, old))) == len(set(colors))
-        gens, order = search_automorphism_generators(M, F)
+        gens, order = searched(M, F)
         assert all(colors[g(e)] == colors[e] for g in gens for e in range(M.size))
         with monkeypatch.context() as m:
             m.setattr(aut, "_stable_colors",
                       lambda M, fixed, touch: slow_stable_colors(M, fixed))
-            assert search_automorphism_generators(M, F) == (gens, order)
+            assert searched(M, F) == (gens, order)
 
 
 def test_own_positions_split_what_degrees_do_not():
@@ -305,7 +388,7 @@ def test_own_positions_split_what_degrees_do_not():
     colors = aut._stable_colors(M, frozenset(), aut._incidence(M))
     old = slow_stable_colors(M, frozenset())
     assert old[1] == old[6] and colors[1] != colors[6]
-    gens, order = search_automorphism_generators(M)
+    gens, order = searched(M)
     assert order == len(brute_automorphisms(M)) == close_group(gens, degree=8).order
 
 
@@ -316,8 +399,7 @@ def assert_search_matches_oracle(M):
     """Same generators, in the same order, and the same order of the group,
     for each fixed set."""
     for fixed in fixed_sets(M):
-        assert search_automorphism_generators(M, fixed) == \
-            slow_search_automorphism_generators(M, fixed), fixed
+        assert searched(M, fixed) == slow_search_automorphism_generators(M, fixed), fixed
 
 
 def test_search_matches_oracle_on_the_corpus(corpus_structure):
@@ -336,8 +418,7 @@ def test_search_matches_oracle_on_random_structures():
     for trial in range(300):
         M = random_structure(rng, f"Z{trial}", 8)
         F = frozenset(rng.sample(range(M.size), rng.randint(0, M.size)))
-        assert search_automorphism_generators(M, F) == \
-            slow_search_automorphism_generators(M, F)
+        assert searched(M, F) == slow_search_automorphism_generators(M, F)
         assert_search_matches_oracle(M)
 
 

@@ -6,11 +6,12 @@ No function takes a cap as a parameter, so a test lowers a cap with one
 
 import ast
 import io
+import time
 from pathlib import Path
 
 import pytest
 
-from galbench import aut, formula, galois, perm, structure
+from galbench import aut, formula, galois, perm, structure, suite
 from galbench.cli import run_command
 from galbench.corpus import CORPUS
 
@@ -74,6 +75,8 @@ LOWERED = [
      "formula evaluation passed 5 assignments"),
     (formula, "MAX_DEPTH", 2, ["eval", FILE, "~~~R(a, b)"],
      "at position 2: formula nests deeper than 2 levels"),
+    (suite, "SUITE_TRIALS_CAP", 5, ["verify", FILE, "--trials", "6"],
+     "6 trials exceed the suite's cap of 5"),
 ]
 
 
@@ -96,3 +99,12 @@ def test_a_lowered_cap_takes_effect_through_run_command(module, constant, lowere
     monkeypatch.setattr(module, constant, lowered)
     assert run() == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_huge_trial_count_is_refused_before_any_trial(capsys):
+    start = time.perf_counter()
+    code = run_command(["verify", "corpus:C5", "--trials", "1000000000"], out=io.StringIO())
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: 1000000000 trials exceed the suite's cap of {suite.SUITE_TRIALS_CAP}\n"

@@ -14,7 +14,7 @@ from galbench.galois import (codes_finite_sets, dcl, find_code, is_normal_extens
                              is_splitting_extension, multisymmetric_code,
                              verify_galois_correspondence)
 from galbench.perm import (Perm, close_group, orbit, restrict_to_invariant_set,
-                           stabilizer_pointwise, trivial_group)
+                           stabilizer_pointwise)
 from galbench.structure import load_structure
 from galbench.suite import run_law_suite
 
@@ -395,7 +395,7 @@ def test_antitone_law_reports_a_wrong_double_fix(ex_rs, monkeypatch):
     """A `fix_of_set` that returns the trivial group breaks Fix(Fix(H)) >= H
     for every nontrivial H; the law must say so, as its slow version does."""
     def trivial_fix(M, C, A, B):
-        return trivial_group(len(C))
+        return close_group([], degree=len(C))
 
     monkeypatch.setattr(suite, "fix_of_set", trivial_fix)
     laws = run_law_suite(ex_rs, trials=10, seed=5).laws

@@ -15,7 +15,7 @@ from galbench.galois import (FieldOps, acl, codes_finite_sets, dcl,
                              multisymmetric_code, multisymmetric_monomials,
                              orbit_over, verify_galois_correspondence,
                              verify_tower)
-from galbench.perm import close_group, trivial_group
+from galbench.perm import close_group
 from galbench.structure import load_structure
 
 from oracles import frobenius_perm
@@ -231,7 +231,7 @@ def test_splitting_trivial_when_contained(ex_rs):
 
 def test_fix_of_trivial_subgroup_is_everything(ex_rs):
     C = ids(ex_rs, "a", "b", "c", "d")
-    assert fix_of_subgroup(ex_rs, C, trivial_group(4)) == C
+    assert fix_of_subgroup(ex_rs, C, close_group([], degree=4)) == C
 
 
 def test_fix_of_full_klein_group_is_empty(ex_rs):

@@ -9,10 +9,9 @@ from galbench import perm
 from galbench.aut import automorphism_group
 from galbench.errors import CapError, GroupError, InternalCheckError
 from galbench.perm import (Perm, close_group, is_normal_subgroup, orbit,
-                           restrict_to_invariant_set, setwise_stabilizer,
-                           stabilizer_pointwise, trivial_group)
+                           restrict_to_invariant_set, stabilizer_pointwise)
 
-from oracles import all_subgroups, naive_closure, word_closure
+from oracles import all_subgroups, naive_closure, setwise_stabilizer, word_closure
 
 
 def cyc(n, *cycles):
@@ -212,6 +211,8 @@ def test_known_order_leaves_the_chain_unchanged_on_random_closures():
 
 
 def test_subgroups_and_stabilizers_match_unhinted_closures(gf16, ex_rs):
+    """The stabilizer of no points is Aut(M) itself, whose chain is the
+    automorphism search's, so it is compared with the closure as a group."""
     for M in (gf16, ex_rs):
         G = automorphism_group(M)
         for H in all_subgroups(G):
@@ -220,7 +221,10 @@ def test_subgroups_and_stabilizers_match_unhinted_closures(gf16, ex_rs):
             S = stabilizer_pointwise(G, range(k))
             plain = close_group(G.generators, degree=G.degree, base_prefix=range(k))
             assert S.order * len(orbit(G, tuple(range(k)))) == G.order
-            assert S._trans == plain._trans[k:] and S._levels == plain._levels[k:]
+            if k == 0:
+                assert S is G and S.equals(plain) and plain.equals(S)
+            else:
+                assert S._trans == plain._trans[k:] and S._levels == plain._levels[k:]
         S = setwise_stabilizer(G, [(0, 1), (1, 0)])
         assert chain(S) == chain(close_group(S.generators, degree=S.degree))
 
@@ -252,7 +256,7 @@ def test_orbit_cyclic_rotation():
 
 
 def test_orbit_trivial_group():
-    G = trivial_group(4)
+    G = close_group([], degree=4)
     assert orbit(G, (2, 3)) == ((2, 3),)
 
 
@@ -264,7 +268,7 @@ def test_orbit_klein_pair(ex_rs):
 
 
 def test_orbit_range_check():
-    G = trivial_group(3)
+    G = close_group([], degree=3)
     with pytest.raises(GroupError):
         orbit(G, (5,))
 
@@ -297,12 +301,17 @@ def test_repeated_stabilizer_is_the_same_group(ex_rs):
 
 def assert_kept_stabilizer_is_fresh(G, prefix):
     """The kept chain for `prefix` is the one a fresh closure with its points
-    as base prefix builds."""
+    as base prefix builds; with no points it is G itself, which is compared
+    with the closure as a group (an automorphism group's chain is the
+    search's)."""
     points = tuple(dict.fromkeys(prefix))
     k = len(points)
     S = stabilizer_pointwise(G, prefix)
     assert stabilizer_pointwise(G, points) is S
     plain = close_group(G.generators, degree=G.degree, base_prefix=points)
+    if not points:
+        assert S is G and S.equals(plain) and plain.equals(S)
+        return
     assert S.base == plain.base[k:]
     assert S.generators == tuple(dict.fromkeys(plain.level_generators(k)))
     assert S._levels == plain._levels[k:]
@@ -360,7 +369,7 @@ def test_setwise_stabilizer_of_pair_in_restricted_klein(ex_rs):
 
 
 def test_setwise_stabilizer_trivial_group():
-    assert setwise_stabilizer(trivial_group(4), [(0,), (2,)]).order == 1
+    assert setwise_stabilizer(close_group([], degree=4), [(0,), (2,)]).order == 1
 
 
 def test_setwise_contains_pointwise():
@@ -371,9 +380,23 @@ def test_setwise_contains_pointwise():
     assert P.is_subgroup_of(S)
 
 
+def test_table_setwise_matches_the_oracle(corpus_structure):
+    G = automorphism_group(corpus_structure)
+    table = G.element_table()
+    rng = random.Random(31)
+    for _ in range(10):
+        length = rng.randint(1, 2)
+        F = {tuple(rng.sample(range(G.degree), length))
+             for _ in range(rng.randint(1, 3))}
+        S = setwise_stabilizer(G, F)
+        mask = table.setwise(F)
+        assert mask.bit_count() == S.order
+        assert table.perms(perm._bits(mask)) == S.elements()
+
+
 def test_setwise_mixed_lengths_rejected():
     with pytest.raises(GroupError):
-        setwise_stabilizer(trivial_group(4), [(0,), (1, 2)])
+        setwise_stabilizer(close_group([], degree=4), [(0,), (1, 2)])
 
 
 # -- subgroup lattice ---------------------------------------------------------------------
@@ -392,7 +415,7 @@ def test_cyclic_prime_has_two_subgroups():
 
 
 def test_trivial_group_has_one_subgroup():
-    assert len(all_subgroups(trivial_group(3))) == 1
+    assert len(all_subgroups(close_group([], degree=3))) == 1
 
 
 def test_s4_subgroups_against_pairwise_closure_oracle():
@@ -502,7 +525,7 @@ def test_restrict_full_universe_is_isomorphic():
 
 
 def test_restrict_trivial_group():
-    r = restrict_to_invariant_set(trivial_group(5), {1, 3})
+    r = restrict_to_invariant_set(close_group([], degree=5), {1, 3})
     assert r.image.order == 1 and r.kernel.order == 1
 
 

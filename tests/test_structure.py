@@ -6,8 +6,9 @@ import pytest
 
 from galbench import structure
 from galbench.corpus import CORPUS, corpus_names, load_corpus
-from galbench.errors import CapError, DslError, StructureError
-from galbench.structure import dump_structure, eval_relation, load_structure
+from galbench.errors import CapError, DslError
+from galbench.formula import evaluate, parse_formula
+from galbench.structure import dump_structure, load_structure
 
 from oracles import gf_field_tables, slow_load_structure
 
@@ -45,26 +46,21 @@ def test_field_tables_match_polynomial_arithmetic(name, k, modulus):
 
 def test_eval_relation_examples(ex_rs):
     a, b, c = ex_rs.resolve("a"), ex_rs.resolve("b"), ex_rs.resolve("c")
-    assert eval_relation(ex_rs, "R", (a, b)) is True
-    assert eval_relation(ex_rs, "R", (a, c)) is False
-    assert eval_relation(ex_rs, "S", (a, a)) is False
+    assert (a, b) in ex_rs.tables["R"]
+    assert (a, c) not in ex_rs.tables["R"]
+    assert (a, a) not in ex_rs.tables["S"]
 
 
 def test_eval_relation_agrees_with_tables_everywhere(corpus_structure):
+    """An atomic formula holds of a tuple exactly when the tuple is in the
+    relation's table."""
     M = corpus_structure
     from itertools import product
     for rel, arity in M.signature.relations:
+        names = [f"x{i}" for i in range(arity)]
+        atom = parse_formula(f"{rel}({', '.join(names)})", M.signature)
         for t in product(range(M.size), repeat=arity):
-            assert eval_relation(M, rel, t) == (t in M.tables[rel])
-
-
-def test_eval_relation_errors(ex_rs):
-    with pytest.raises(StructureError):
-        eval_relation(ex_rs, "nope", (0, 1))
-    with pytest.raises(StructureError):
-        eval_relation(ex_rs, "R", (0, 1, 2))
-    with pytest.raises(StructureError):
-        eval_relation(ex_rs, "R", (0, 99))
+            assert evaluate(M, atom, dict(zip(names, t))) == (t in M.tables[rel])
 
 
 def test_round_trip_every_corpus_entry():
