@@ -409,7 +409,3 @@ def run_command(argv: list[str], out=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,8 @@ Conventions used throughout (recorded once):
   structure is every element (see `acl`).
 * Bounded searches (generators, codes) report "no answer within the bound"
   rather than absolute non-existence, except where a stabilizer argument
-  makes the bounded answer exact (see `find_code`).
+  (see `find_code`) or a bound past the candidate pool's size (see
+  `_candidate_tuples`) makes the bounded answer exact.
 
 All operations are pure over immutable inputs; reports for different
 structures may be computed concurrently.
@@ -22,7 +23,8 @@ structures may be computed concurrently.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from . import formula as fm
@@ -39,30 +41,36 @@ from .structure import Structure
 #: Default bound for generator and code tuple searches.
 DEFAULT_MAX_LEN = 3
 
-#: Most candidate tuples one generator, splitting or code search tries before
-#: it stops with `CapError`.  With the default bound a search over a
-#: 16-element universe tries at most 1 + 16 + 256 + 4096.
-TUPLE_SEARCH_CAP = 100_000
+#: Most entry sets one generator, splitting or code search tries before it
+#: stops with `CapError`; each can cost a stabilizer closure.  At the default
+#: bound a 16-element pool has 697 sets of up to 3 entries; a 64-element one
+#: has 43,745, and a search that finds nothing stops after 4,000 of them.
+TUPLE_SEARCH_CAP = 4_000
 
 #: Most point images one `codes_finite_sets` call computes: each orbit
 #: representative of a set costs |Aut(M)| times its size, once for its orbit
 #: and its setwise stabilizer together.
 CODES_WORK_CAP = 1_000_000
 
+#: Most coefficients one `multisymmetric_code` expansion builds: m tuples of
+#: length n have C(m + n, n) - 1.
+MSYM_TERM_CAP = 10_000
+
 
 def _candidate_tuples(pool: Sequence[int], shortest: int, longest: int):
-    """Tuples over `pool` by ascending length, then in lexicographic order.
+    """Each set of entries from the ascending `pool` once, as an ascending
+    tuple, by length and then in lexicographic order.
 
-    Each search's test depends only on the set of a candidate's entries, and
-    a tuple longer than the pool repeats an entry, so a shorter tuple with the
-    same entries came earlier: lengths past ``len(pool)`` are skipped without
-    changing any answer.  Candidates are counted as the search tries them, so
-    a search that succeeds early costs what it did before; past
-    `TUPLE_SEARCH_CAP` it raises `CapError`.
+    Each search's test reads only a candidate's entry set.  A tuple with a
+    repeated entry has the set of a shorter one, and the ascending ordering
+    of a set comes first, so the first success is the one all tuples over
+    the pool, in the same order, would reach.  Once `longest` reaches the
+    pool's size every set is tried.  Past `TUPLE_SEARCH_CAP` candidates the
+    search raises `CapError`.
     """
     tried = 0
     for length in range(shortest, min(longest, len(pool)) + 1):
-        for cand in product(pool, repeat=length):
+        for cand in combinations(pool, length):
             tried += 1
             if tried > TUPLE_SEARCH_CAP:
                 raise CapError(f"tuple search passed {TUPLE_SEARCH_CAP} candidates "
@@ -183,7 +191,8 @@ def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
     """A shortest tuple over B whose entries, together with A, define all of B.
 
     Lengths 0..max_len are tried in ascending lexicographic order; None means
-    no generating tuple exists within the bound (bounded non-existence).
+    no generating tuple exists within the bound (bounded non-existence), and
+    no generating tuple at all once max_len reaches |B|.
     """
     A, B = _extension(M, A, B)
     if B <= dcl(M, A):
@@ -233,10 +242,9 @@ def is_splitting_extension(M: Structure, A: Iterable[int], B: Iterable[int],
     the orbits of b's entries: the tuples g(b) for g in Aut(M/A) have entries
     g(b_i), and as g runs over the group, g(b_i) runs over the orbit of b_i.
     So no tuple orbit is built.  Both tests read only A plus the entries (A
-    lies in B, so the entries lie in B exactly when A plus the entries do),
-    and a candidate giving a set already tried is skipped: `dcl` runs at most
-    once per set.  Every candidate is still drawn, and counted, in the same
-    order, so the first witness is the same.
+    lies in B, so the entries lie in B exactly when A plus the entries do).
+    Different entry sets can give one union, and a union already tried is
+    skipped: `dcl` runs at most once per union.
     """
     A, B = _extension(M, A, B)
     orbits = automorphism_group_fixing(M, A).point_orbits()
@@ -354,13 +362,8 @@ def _code_for_setwise(table: perm.ElementTable, setwise: int,
     """`find_code`'s search, given the setwise stabilizer as a table mask."""
     target = setwise.bit_count()
     candidates = list(_bits(table.fixed(setwise)))
-    orders: dict[int, int] = {}
     for cand in _candidate_tuples(candidates, 0, max_len):
-        points = _mask(cand)
-        order = orders.get(points)
-        if order is None:
-            order = orders[points] = table.pointwise_order(points)
-        if order == target:
+        if table.pointwise_order(_mask(cand)) == target:
             return cand
     return None
 
@@ -537,6 +540,10 @@ def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]]) -> tuple[int, 
     if n < 1:
         raise StructureError("tuples must be non-empty")
     m = len(tuples)
+    terms = comb(m + n, n) - 1
+    if terms > MSYM_TERM_CAP:
+        raise CapError(f"multisymmetric code has {terms} coefficients; "
+                       f"cap is {MSYM_TERM_CAP}")
 
     poly: dict[tuple[int, ...], int] = {(0,) * (n + 1): ops.one}
     for x in tuples:

@@ -8,22 +8,10 @@ moved by the first generator or Schreier residue that fixes the current
 base, and every iteration order is fixed, so identical inputs always
 produce identical chains, generator lists, and reports.
 
-When the group's order is known in advance, `close_group(..., known_order=N)`
-stops testing Schreier generators as soon as the product of the current
-transversal sizes equals N ("Schreier-Sims with known order"; Seress,
-*Permutation Group Algorithms*, 2003).  This is complete, and leaves the
-chain byte for byte as the full pass would: every generator at level i fixes
-the base points before it, so each transversal is a subset of that level's
-true orbit in G, and the product of the true orbit sizes is
-|G| / |G_(base)| <= |G|.  A product equal to |G| therefore means every
-transversal is already its full orbit and the base's pointwise stabilizer is
-trivial, so every remaining Schreier generator sifts to the identity and no
-level, base point or transversal would change.  Only those sifts are skipped;
-every transversal is still rebuilt where the full pass rebuilds it.  The
-order is passed only where it is exact (in the package, `stabilizer_pointwise`
-passes its group's order), and a finished chain whose order differs from it
-raises `InternalCheckError`.  The automorphism search builds its chain
-without any closure, with the same transversal builder, `_transversal`.
+A closure told the group's order stops sifting once the chain reaches it;
+`close_group`'s docstring gives the argument.  The automorphism search
+builds its chain without any closure, with the same transversal builder,
+`_transversal`.
 
 Groups are immutable once closed; membership tests and queries are pure.
 Each group fills four slots on first use and keeps them: its element table,
@@ -34,10 +22,11 @@ prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
 the stabilizer memo grows with the distinct tuples G is asked about.
 
 Three module constants bound the work at desk scale.  `DEFAULT_ELEMENT_CAP`
-bounds the order of a group whose elements are enumerated,
-`DEFAULT_SUBGROUP_CAP` the order of a group whose subgroup lattice is built,
-and `LATTICE_WORK_CAP` the work of building that lattice.  Each is read where
-the work happens, at call time, and past it the work stops with `CapError`.
+bounds the order of a group whose elements are enumerated and the tuples of
+an orbit that is listed, `DEFAULT_SUBGROUP_CAP` the order of a group whose
+subgroup lattice is built, and `LATTICE_WORK_CAP` the work of building that
+lattice.  Each is read where the work happens, at call time, and past it
+the work stops with `CapError`.
 """
 
 from __future__ import annotations
@@ -48,7 +37,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, GroupError, InternalCheckError, NotInvariantError
 
-#: Largest group order whose elements are enumerated.
+#: Largest group order whose elements are enumerated, and most tuples of one
+#: listed orbit.
 DEFAULT_ELEMENT_CAP = 200_000
 
 #: Largest group order whose subgroup lattice is enumerated.
@@ -317,16 +307,18 @@ def close_group(generators: Iterable[Perm], *, degree: int | None = None,
     change to its generators.
 
     `known_order`, when given, must be the exact order of the generated
-    group.  `complete_level` then stops sifting Schreier generators once the
-    product of the transversal sizes equals it; it still rebuilds every
-    transversal.  Each level's generators fix the base points before it, so
-    each transversal lies inside that level's orbit in the group, and the
-    product is at most |G|.  Equality means every transversal is a full
-    orbit and the base's pointwise stabilizer is trivial: every skipped
-    Schreier generator would have sifted to the identity, so the chain is
-    the one the full pass builds.  A finished chain whose order is not
-    `known_order` raises `InternalCheckError`; an overstated order is
-    caught that way, after a full pass.
+    group; in the package only `stabilizer_pointwise` passes one, its
+    group's order.  `complete_level` then stops sifting Schreier generators
+    once the product of the transversal sizes equals it ("Schreier-Sims with
+    known order"; Seress, *Permutation Group Algorithms*, 2003); it still
+    rebuilds every transversal.  Each level's generators fix the base points
+    before it, so each transversal lies inside that level's orbit in the
+    group, and the product is at most |G|.  Equality means every
+    transversal is a full orbit and the base's pointwise stabilizer is
+    trivial: every skipped Schreier generator would have sifted to the
+    identity, so the chain is the one the full pass builds.  A finished
+    chain whose order is not `known_order` raises `InternalCheckError`; an
+    overstated order is caught that way, after a full pass.
     """
     gens = []
     for g in generators:
@@ -433,7 +425,11 @@ def _check_entries(G: PermGroup, t: Iterable[int]) -> None:
 
 
 def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The orbit of a tuple under coordinatewise action, in canonical order."""
+    """The orbit of a tuple under coordinatewise action, in canonical order.
+
+    The orbit is the image of G's elements, so no more of it is listed than
+    of G: past `DEFAULT_ELEMENT_CAP` tuples it raises `CapError`.
+    """
     t = tuple(t)
     _check_entries(G, t)
     seen = {t}
@@ -445,6 +441,9 @@ def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
                 img = g.apply_tuple(cur)
                 if img not in seen:
                     seen.add(img)
+                    if len(seen) > DEFAULT_ELEMENT_CAP:
+                        raise CapError(
+                            f"orbit passed {DEFAULT_ELEMENT_CAP} tuples (enumeration cap)")
                     nxt.append(img)
         frontier = nxt
     return tuple(sorted(seen))

@@ -27,6 +27,12 @@ from .structure import Structure
 SUITE_TRIALS_CAP = 10_000
 
 
+#: Largest Aut(C/A) whose whole subgroup lattice the antitone law reads;
+#: past it the law checks Aut(C/A) alone.  Not a cap, since nothing is
+#: refused: the lattice of S6 (order 720) needs tens of millions of lookups.
+ANTITONE_LATTICE_MAX_ORDER = 512
+
+
 def _check_trials(trials: int) -> None:
     if trials > SUITE_TRIALS_CAP:
         raise CapError(f"{trials} trials exceed the suite's cap of {SUITE_TRIALS_CAP}")
@@ -76,15 +82,16 @@ def _antitone_law(M: Structure, C: frozenset[int], A: frozenset[int],
     A <= B1 <= B2 <= C: each violation found, in order.
 
     The subgroups of G_rel = Aut(C/A) are its element table's lattice masks
-    (G_rel alone past order 512), so subgroup containment is mask
-    containment and no group is closed per subgroup.  Fix(H) is read off H's
-    minimal generators and checked to be definably closed, and Fix(Fix(H))
-    is `fix_of_set`'s Schreier-Sims closure, tested on H's generators; both
-    once per distinct fixed set.  Neither side reads the table's fixed-point
-    masks, so the law does not check the table against itself.
+    (G_rel alone past `ANTITONE_LATTICE_MAX_ORDER`), so subgroup
+    containment is mask containment and no group is closed per subgroup.
+    Fix(H) is read off H's minimal generators and checked to be definably
+    closed, and Fix(Fix(H)) is `fix_of_set`'s Schreier-Sims closure, tested
+    on H's generators; both once per distinct fixed set.  Neither side
+    reads the table's fixed-point masks, so the law does not check the
+    table against itself.
     """
     points = sorted(C)
-    if G_rel.order <= 512:
+    if G_rel.order <= ANTITONE_LATTICE_MAX_ORDER:
         table = G_rel.element_table()
         subs = [(mask, table.perms(gens)) for mask, gens in table.subgroups()]
     else:

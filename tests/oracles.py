@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from galbench import perm, structure
+from galbench import perm, structure, suite
 from galbench.aut import (_incidence, _stable_colors, automorphism_group,
                           automorphism_group_fixing, relative_restriction)
 from galbench.errors import (CapError, DslError, GroupError, HypothesisError,
@@ -432,7 +432,7 @@ def slow_antitone_law(M, C, A, G_rel, B1, B2) -> list[str]:
     (`all_subgroups`), Fix(H) by `fix_of_subgroup`, containment by
     `is_subgroup_of`, and a `fix_of_set` per subgroup."""
     out = []
-    subs = all_subgroups(G_rel) if G_rel.order <= 512 else [G_rel]
+    subs = all_subgroups(G_rel) if G_rel.order <= suite.ANTITONE_LATTICE_MAX_ORDER else [G_rel]
     fixes = [fix_of_subgroup(M, C, H1) for H1 in subs]
     for H1, f1 in zip(subs, fixes):
         for H2, f2 in zip(subs, fixes):
@@ -465,6 +465,20 @@ def slow_is_normal_extension(M, A, B) -> bool:
         if any(t[0] not in B for t in orbit(G, (x,))):
             return False
     return True
+
+
+def slow_find_generator(M, A, B, max_len=3):
+    """`find_generator` with every tuple over B tried in product order,
+    repeats and every ordering included."""
+    A = M.check_subset(A, "base set")
+    B = M.check_subset(B, "extension set")
+    if not A <= B:
+        raise StructureError("base set must be contained in the extension")
+    for length in range(max_len + 1):
+        for cand in product(sorted(B), repeat=length):
+            if B <= dcl(M, A | frozenset(cand)):
+                return cand
+    return None
 
 
 def slow_is_splitting_extension(M, A, B, max_len=3):

@@ -7,6 +7,7 @@ No function takes a cap as a parameter, so a test lowers a cap with one
 import ast
 import io
 import time
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,48 @@ def test_a_huge_trial_count_is_refused_before_any_trial(capsys):
     assert code == 2
     assert capsys.readouterr().err == \
         f"error: 1000000000 trials exceed the suite's cap of {suite.SUITE_TRIALS_CAP}\n"
+
+
+def test_a_lowered_element_cap_bounds_an_orbit(tmp_path, monkeypatch, capsys):
+    # Aut(EX_RS) has order 8, and (a, e) has an orbit of 8 tuples.
+    test_a_lowered_cap_takes_effect_through_run_command(
+        perm, "DEFAULT_ELEMENT_CAP", 7, ["orbit", FILE, "--tuple", "a,e"],
+        "orbit passed 7 tuples (enumeration cap)", tmp_path, monkeypatch, capsys)
+
+
+def test_an_orbit_past_the_element_cap_is_refused(tmp_path, capsys):
+    """Sixteen unrelated points: an 8-tuple has 16!/8! = 518,918,400 images."""
+    path = tmp_path / "points.txt"
+    path.write_text("structure P16 {\n  universe = { "
+                    + ", ".join(f"p{i}" for i in range(16)) + " }\n}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code = run_command(["orbit", str(path), "--tuple", ",".join(f"p{i}" for i in range(8))],
+                       out=io.StringIO())
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: orbit passed {perm.DEFAULT_ELEMENT_CAP} tuples (enumeration cap)\n"
+
+
+def test_a_lowered_term_cap_takes_effect_on_a_field(monkeypatch, capsys):
+    """`msym-code` needs a field, which EX_RS is not.  Two tuples of length 1
+    make C(2 + 1, 1) - 1 = 2 coefficients."""
+    argv = ["msym-code", "corpus:GF4", "--tuples", "w;w2"]
+    monkeypatch.setattr(galois, "MSYM_TERM_CAP", 2)
+    assert run_command(argv, out=io.StringIO()) == 0
+    monkeypatch.setattr(galois, "MSYM_TERM_CAP", 1)
+    assert run_command(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: multisymmetric code has 2 coefficients; cap is 1\n"
+
+
+def test_a_huge_multisymmetric_code_is_refused_before_expanding(gf16, capsys):
+    """300 triples would make C(303, 3) - 1 = 4,590,550 coefficients."""
+    names = [gf16.label(e) for e in range(gf16.size)]
+    tuples = ";".join(",".join(t) for t in islice(product(names, repeat=3), 300))
+    start = time.perf_counter()
+    code = run_command(["msym-code", "corpus:GF16", "--tuples", tuples], out=io.StringIO())
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: multisymmetric code has 4590550 coefficients; cap is {galois.MSYM_TERM_CAP}\n"

@@ -4,7 +4,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import textwrap
 import time
@@ -397,7 +399,9 @@ def test_code_search_without_candidates_answers_at_any_max_len():
 def test_tuple_search_past_its_work_cap_exits_2(tmp_path, capsys):
     """EX_RS plus a rigid directed path p0..p6: the setwise stabilizer of
     {(a,e),(b,f)} fixes the seven path points, none of which codes the set,
-    so the search would run through 7^7 candidates."""
+    so the search tries all 2^7 = 128 sets of them and "none" is exact.
+    Four unrelated points plus a directed path p0..p11: the 2^12 sets of path
+    points pass the cap of 4,000 at length 9."""
     path = tmp_path / "ex_rs_path.txt"
     path.write_text("structure EX_RS_P {\n"
                     "  universe = { a, b, c, d, e, f, p0, p1, p2, p3, p4, p5, p6 }\n"
@@ -408,11 +412,20 @@ def test_tuple_search_past_its_work_cap_exits_2(tmp_path, capsys):
     start = time.perf_counter()
     code, text = run(["code", str(path), "--tuples", "a,e;b,f", "--max-len", "1000000"])
     assert time.perf_counter() - start < 2
-    assert code == 2 and text == ""
-    assert capsys.readouterr().err == (
-        "error: tuple search passed 100000 candidates at length 6 (max_len 1000000)\n")
+    assert code == 0 and text == "none (no code of length <= 1000000)\n"
     code, text = run(["code", str(path), "--tuples", "a,e;b,f"])
     assert code == 0 and text == "none (no code of length <= 3)\n"
+    path = tmp_path / "four_path.txt"
+    arcs = ", ".join(f"(p{i},p{i + 1})" for i in range(11))
+    path.write_text("structure FOUR_P {\n  universe = { a, b, c, d, "
+                    + ", ".join(f"p{i}" for i in range(12))
+                    + f" }}\n  rel P/2 = {{ {arcs} }}\n}}\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, text = run(["code", str(path), "--tuples", "a,b;c,d", "--max-len", "1000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: tuple search passed 4000 candidates at length 9 (max_len 1000000)\n")
 
 
 @pytest.mark.parametrize("argv", [["galois", "--base", "", "--top", "ALL"],
@@ -566,6 +579,16 @@ def test_console_entry_point_exits_with_the_command_code(monkeypatch, capsys):
         (1, golden.read_text(encoding="utf-8"))
     code, out = console("corpus", "list")
     assert code == 0 and "EX_RS" in out
+
+
+def test_the_package_runs_as_a_module_without_warnings():
+    golden = Path(__file__).parent / "golden" / "aut-EX_RS-json.out"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "galbench", "aut",
+                           "corpus:EX_RS", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,9 +10,9 @@ from galbench import perm
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction)
 from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
-from galbench.galois import (codes_finite_sets, dcl, find_code, is_normal_extension,
-                             is_splitting_extension, multisymmetric_code,
-                             verify_galois_correspondence)
+from galbench.galois import (codes_finite_sets, dcl, find_code, find_generator,
+                             is_normal_extension, is_splitting_extension,
+                             multisymmetric_code, verify_galois_correspondence)
 from galbench.perm import (Perm, close_group, orbit, restrict_to_invariant_set,
                            stabilizer_pointwise)
 from galbench.structure import load_structure
@@ -391,6 +391,22 @@ def test_antitone_law_matches_slow_path_on_generated(generated_structure, monkey
     assert_antitone_matches_slow_path(generated_structure, monkeypatch)
 
 
+def test_antitone_law_past_its_lattice_order_checks_the_group_alone(monkeypatch):
+    """Six unrelated points: the suite's towers reach Aut(C/A) = S6 twice,
+    past `ANTITONE_LATTICE_MAX_ORDER`, where the law reads no lattice."""
+    M = load_structure("structure P6 { universe = { p0, p1, p2, p3, p4, p5 } }")
+    orders = []
+    real = suite._antitone_law
+
+    def recorded(M, C, A, G_rel, B1, B2):
+        orders.append(G_rel.order)
+        return real(M, C, A, G_rel, B1, B2)
+
+    monkeypatch.setattr(suite, "_antitone_law", recorded)
+    assert run_law_suite(M, trials=10).verdict
+    assert orders.count(720) == 2 and 720 > suite.ANTITONE_LATTICE_MAX_ORDER
+
+
 def test_antitone_law_reports_a_wrong_double_fix(ex_rs, monkeypatch):
     """A `fix_of_set` that returns the trivial group breaks Fix(Fix(H)) >= H
     for every nontrivial H; the law must say so, as its slow version does."""
@@ -587,10 +603,33 @@ def test_splitting_matches_slow_path_on_relabelled_large_groups(make):
     assert assert_splitting_matches_slow_path(make(97)) == {True, False}
 
 
+def assert_generator_matches_slow_path(M):
+    """The splitting search's (base, top) pairs and seeded random ones: the
+    search over entry sets finds the tuple that the search over every tuple
+    in product order finds first."""
+    rng = random.Random(M.name)
+    pairs = splitting_instances(M)
+    for _ in range(4):
+        A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
+        pairs.append((A, A | frozenset(rng.sample(range(M.size), rng.randint(0, M.size)))))
+    for A, B in pairs:
+        for max_len in range(4):
+            assert find_generator(M, A, B, max_len) == \
+                oracles.slow_find_generator(M, A, B, max_len), (sorted(A), sorted(B), max_len)
+
+
+def test_generator_matches_slow_path_on_corpus(corpus_structure):
+    assert_generator_matches_slow_path(corpus_structure)
+
+
+def test_generator_matches_slow_path_on_generated(generated_structure):
+    assert_generator_matches_slow_path(generated_structure)
+
+
 def test_splitting_closes_each_set_once(monkeypatch):
     """Two swappable pairs over the empty base: the candidates (a), (b), (c),
-    (d), (a, a), (a, b) bring only the entry sets {a, b} and {c, d}, and
-    (a, c) is the witness.  The tuple-orbit loop closes {a, b} and {c, d}
+    (d), (a, b) bring only the entry sets {a, b} and {c, d}, and (a, c) is
+    the witness.  The tuple-orbit loop closes {a, b} and {c, d}
     twice each and {a, b} twice more; the search closes each set once, also
     where a nonempty base absorbs different orbit entries into one set."""
     import galbench.galois as galois

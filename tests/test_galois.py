@@ -1,13 +1,14 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galbench.aut import automorphism_group, automorphism_group_fixing, relative_aut
 from galbench.errors import (CapError, EvalError, FieldEncodingError,
                              HypothesisError, InconclusiveError, StructureError)
 from galbench.formula import parse_formula
-from galbench.galois import (FieldOps, acl, codes_finite_sets, dcl,
+from galbench.galois import (FieldOps, _candidate_tuples, acl, codes_finite_sets, dcl,
                              degree_of_extension, extension_aut_order,
                              find_code, find_generator, fix_of_set,
                              fix_of_subgroup, is_irreducible_formula,
@@ -186,18 +187,51 @@ def test_degree_inconclusive_when_no_generator():
 # -- normal and splitting extensions ------------------------------------------------------
 
 
+@st.composite
+def _pools_and_entry_set_tests(draw):
+    """An ascending pool, a search's length range, and a test on entry sets:
+    membership in drawn sets, or (monotone) containing one of them."""
+    pool = sorted(draw(st.sets(st.integers(0, 30), max_size=4)))
+    sets = draw(st.lists(st.frozensets(st.sampled_from(pool)) if pool
+                         else st.just(frozenset()), max_size=4))
+    if draw(st.booleans()):
+        def holds(entries):
+            return any(s <= entries for s in sets)
+    else:
+        def holds(entries):
+            return entries in sets
+    shortest = draw(st.integers(0, 1))
+    return pool, shortest, draw(st.integers(shortest, 6)), holds
+
+
+@given(_pools_and_entry_set_tests())
+@settings(max_examples=200, deadline=None)
+def test_each_entry_set_once_finds_the_first_tuple_in_product_order(case):
+    """A test that reads only a tuple's entry set first holds, in product
+    order by length, at an ascending tuple of distinct entries; the search
+    over each entry set once reaches that tuple first."""
+    pool, shortest, longest, holds = case
+    tried = list(_candidate_tuples(pool, shortest, longest))
+    assert all(list(t) == sorted(set(t)) for t in tried)
+    assert len({frozenset(t) for t in tried}) == len(tried)
+    every = (t for n in range(shortest, longest + 1) for t in product(pool, repeat=n))
+    first = next((t for t in every if holds(frozenset(t))), None)
+    assert next((t for t in tried if holds(frozenset(t))), None) == first
+
+
 def test_tuple_searches_count_candidates_as_they_run(monkeypatch):
     """Seven unrelated points: the first generator over the empty base is
-    (p0, ..., p5), candidate 7 + 7^2 + ... + 7^5 + 3268 = 22875 of the search;
-    the first splitting witness is (p0,), candidate 2."""
+    (p0, ..., p5), candidate 7 + 21 + 35 + 35 + 21 + 1 = 120 of the search,
+    which tries each entry set once; the first splitting witness is (p0,),
+    candidate 2."""
     import galbench.galois as galois
     M = load_structure("structure P7 { universe = { p0, p1, p2, p3, p4, p5, p6 } }")
     everything = frozenset(M.universe)
     assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
-    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 22875)
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 120)
     assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
-    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 22874)
-    with pytest.raises(CapError, match="passed 22874 candidates at length 6"):
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 119)
+    with pytest.raises(CapError, match="passed 119 candidates at length 6"):
         find_generator(M, frozenset(), everything, max_len=7)
     monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 2)
     assert is_splitting_extension(M, frozenset(), everything, max_len=100) == (True, (0,))
