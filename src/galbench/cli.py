@@ -12,9 +12,12 @@ degree, splitting, generator, code, codes-report, galois, tower and verify;
 ``--seed N`` (default 0) by verify alone.
 
 Exit codes: 0 success (including a passing verification), 1 a verification
-ran and failed, 2 usage or input error, 3 internal error (a failed internal
-consistency check, which means a bug; the message on stderr starts with
-``internal error:``).
+ran and failed, 2 usage or input error, a cap, or a bounded search that ended
+without an answer, 3 internal error (a failed internal consistency check,
+which means a bug; the message on stderr starts with ``internal error:``).
+Every command maps a library error the same way, `verify` included: an error
+inside any of its laws ends it as it would end the command that owns the
+computation.
 """
 
 from __future__ import annotations

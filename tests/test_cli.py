@@ -387,6 +387,40 @@ def test_verify_checks_the_subgroup_cap_before_the_law_suite(tmp_path, monkeypat
     assert capsys.readouterr().err == "error: relative group order 6144 exceeds cap 2000\n"
 
 
+def test_verify_exits_like_tower_on_an_undetermined_degree(tmp_path, capsys):
+    """Five unrelated points: no tuple of length 3 generates the universe over
+    the empty set, so the canonical tower's degree is undetermined.  That is
+    a bounded search without an answer, not a failed law."""
+    path = tmp_path / "p5.txt"
+    path.write_text("structure P5 { universe = { a, b, c, d, e } }\n", encoding="utf-8")
+    assert run(["tower", str(path), "--sets", ";a;ALL"]) == (2, "")
+    tower_err = capsys.readouterr().err
+    assert tower_err == "error: no generating tuple of length <= 3; degree undetermined\n"
+    assert run(["verify", str(path), "--trials", "3"]) == (2, "")
+    assert capsys.readouterr().err == tower_err
+
+
+@pytest.mark.parametrize("name", ["GF4", "C5"])
+def test_verify_at_max_len_0_exits_2(name, capsys):
+    code, text = run(["verify", f"corpus:{name}", "--max-len", "0", "--trials", "5"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: no generating tuple of length <= 0; degree undetermined\n")
+
+
+def test_internal_error_in_the_tower_law_exits_3(monkeypatch, capsys):
+    import galbench.suite
+    from galbench.errors import InternalCheckError
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("boom")
+
+    monkeypatch.setattr(galbench.suite, "verify_tower", broken)
+    code, text = run(["verify", "corpus:C5", "--trials", "1"])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == "internal error: boom\n"
+
+
 def test_code_search_without_candidates_answers_at_any_max_len():
     # The setwise stabilizer of {(a,e),(b,f)} fixes no element, so the empty
     # tuple is the only candidate at every length and "none" is exact.

@@ -203,11 +203,16 @@ def test_law_suite_computes_each_degree_and_order_once_per_trial(monkeypatch):
 
 
 def test_law_suite_raises_a_failed_search_again_where_it_used_to():
-    # With max_len 0 no generator is found for a proper extension: the tower
-    # law records the error, and the normal-degree law raises it, as the
-    # repeated computation did.
+    # With max_len 0 no generator is found for a proper extension: the first
+    # degree of the trial's tower raises, and the error leaves the suite.
     with pytest.raises(InconclusiveError, match="degree undetermined"):
         run_law_suite(load_corpus("EX_RS"), trials=5, seed=1, max_len=0)
+
+
+def test_law_suite_raises_an_undetermined_degree_instead_of_failing_a_law():
+    # An undetermined degree is not a counterexample to the tower law.
+    with pytest.raises(InconclusiveError, match="degree undetermined"):
+        run_law_suite(load_corpus("GF4"), trials=5, seed=0, max_len=0)
 
 
 def test_duality_check_codes_small_sets_only_on_a_clean_pass(monkeypatch):
