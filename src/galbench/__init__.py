@@ -21,8 +21,8 @@ from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, ElementTable, Perm
 from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
                   relative_restriction, search_automorphism_generators)
 from .galois import (DEFAULT_MAX_LEN, CodesReport, DualityFailure, FieldOps,
-                     GaloisReport, OrbitDescriptor, TowerCheck, TowerReport,
-                     acl, codes_finite_sets, dcl, degree_of_extension,
+                     GaloisReport, TowerCheck, TowerReport, acl,
+                     codes_finite_sets, dcl, degree_of_extension,
                      extension_aut_order, find_code, find_generator,
                      fix_of_set, fix_of_subgroup, is_irreducible_formula,
                      is_normal_extension, is_splitting_extension,

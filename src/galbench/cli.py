@@ -146,11 +146,10 @@ def _cmd_closure(args, M):
 
 
 def _cmd_orbit(args, M):
-    desc = orbit_over(M, _parse_tuple(M, args.tuple), _parse_set(M, args.base))
-    text = (f"degree {desc.degree}\n"
-            + "\n".join(fmt_tuple(M, t) for t in desc.orbit))
-    return text, {"degree": desc.degree,
-                  "orbit": [list(M.render_tuple(t)) for t in desc.orbit]}, EXIT_OK
+    orb = orbit_over(M, _parse_tuple(M, args.tuple), _parse_set(M, args.base))
+    text = f"degree {len(orb)}\n" + "\n".join(fmt_tuple(M, t) for t in orb)
+    return text, {"degree": len(orb),
+                  "orbit": [list(M.render_tuple(t)) for t in orb]}, EXIT_OK
 
 
 def _cmd_degree(args, M):
@@ -242,15 +241,14 @@ def _cmd_tower(args, M):
     A, B, C = (_parse_set(M, part) for part in parts)
     report = verify_tower(M, A, B, C, max_len=args.max_len)
     lines = [
-        f"structure {report.structure}",
+        f"structure {M.name}",
         f"tower: {fmt_set(report.base)} <= {fmt_set(report.mid)} <= {fmt_set(report.top)}",
-        f"degrees: mid/base {report.degree_mid_base}, top/mid {report.degree_top_mid}, "
-        f"top/base {report.degree_top_base}",
-        f"orders: mid/base {report.order_mid_base}, top/mid {report.order_top_mid}, "
-        f"top/base {report.order_top_base}",
     ]
+    for label, by_pair in (("degrees", report.degrees), ("orders", report.orders)):
+        lines.append(f"{label}: " + ", ".join(f"{key.replace('_over_', '/')} {value}"
+                                              for key, value in by_pair.items()))
     for c in report.checks:
-        status = "skip" if c.passed is None else ("pass" if c.passed else "FAIL")
+        status = "FAIL" if c.status == "fail" else c.status
         lines.append(f"  [{status}] {c.name}: {c.detail}")
     lines.append(f"verdict: {'pass' if report.verdict else 'fail'}")
     return ("\n".join(lines), report.to_json_dict(),

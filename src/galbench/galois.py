@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from math import comb
+from math import comb, perm as arrangements
 from typing import Iterable, Sequence
 
 from . import formula as fm
@@ -123,30 +123,14 @@ def acl(M: Structure, A: Iterable[int]) -> frozenset[int]:
 # -- orbits and degrees -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    """The orbit of a tuple over a parameter set; semantically this is the
-    solution set of a minimal formula isolating the tuple."""
-
-    base: tuple[int, ...]
-    params: frozenset[int]
-    orbit: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.base not in self.orbit:
-            raise InternalCheckError("orbit descriptor does not contain its base tuple")
-
-    @property
-    def degree(self) -> int:
-        return len(self.orbit)
-
-
-def orbit_over(M: Structure, b: Sequence[int], A: Iterable[int]) -> OrbitDescriptor:
-    """The orbit of tuple b under Aut(M/A), with its size as degree."""
+def orbit_over(M: Structure, b: Sequence[int],
+               A: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The orbit of tuple b under Aut(M/A), in canonical order; its size is
+    the degree of b over A, and it is the solution set of a minimal formula
+    over A isolating b."""
     A = M.check_subset(A, "parameter set")
     b = M.check_tuple(b)
-    G = automorphism_group_fixing(M, A)
-    return OrbitDescriptor(base=b, params=A, orbit=orbit(G, b))
+    return orbit(automorphism_group_fixing(M, A), b)
 
 
 def is_irreducible_formula(M: Structure, f: fm.Formula, b: Sequence[int],
@@ -170,7 +154,7 @@ def is_irreducible_formula(M: Structure, f: fm.Formula, b: Sequence[int],
     sols = fm.solution_set(M, f, variables)
     if b not in sols:
         return False
-    return set(sols) == set(orbit_over(M, b, A).orbit)
+    return set(sols) == set(orbit_over(M, b, A))
 
 
 # -- finite extensions ----------------------------------------------------------------
@@ -193,11 +177,28 @@ def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
     Lengths 0..max_len are tried in ascending lexicographic order; None means
     no generating tuple exists within the bound (bounded non-existence), and
     no generating tuple at all once max_len reaches |B|.
+
+    Lengths too short to generate are skipped, exactly.  With G = Aut(M/A),
+    a set s inside B generates B when its pointwise stabilizer in G is
+    Aut(M/B), that is when the orbit of s as a tuple has |G : Aut(M/B)|
+    members.  G fixes dcl(A) and permutes the m other elements, so a k-tuple
+    has at most P(m, min(k, m)) images, and no length whose bound is below
+    the index can generate.  The index costs a stabilizer closure; it is
+    computed only when |G| > P(m, 2), since otherwise the bound could skip
+    length 1 alone.
     """
     A, B = _extension(M, A, B)
-    if B <= dcl(M, A):
+    G = automorphism_group_fixing(M, A)
+    closed = G.fixed_points()
+    if B <= closed:
         return ()
-    for cand in _candidate_tuples(sorted(B), 1, max_len):
+    m = M.size - len(closed)
+    shortest = 1
+    if G.order > arrangements(m, 2):
+        index = G.order // automorphism_group_fixing(M, B).order
+        shortest = next((k for k in range(1, max_len + 1)
+                         if arrangements(m, min(k, m)) >= index), max_len + 1)
+    for cand in _candidate_tuples(sorted(B), shortest, max_len):
         if B <= dcl(M, A | frozenset(cand)):
             return cand
     return None
@@ -214,7 +215,7 @@ def degree_of_extension(M: Structure, A: Iterable[int], B: Iterable[int],
     if gen is None:
         raise InconclusiveError(
             f"no generating tuple of length <= {max_len}; degree undetermined")
-    return orbit_over(M, gen, A).degree
+    return len(orbit_over(M, gen, A))
 
 
 def is_normal_extension(M: Structure, A: Iterable[int], B: Iterable[int]) -> bool:
@@ -603,7 +604,6 @@ class GaloisReport:
     failures: tuple[DualityFailure, ...]
     coding_ok: bool | None
     coding_failures: tuple[str, ...]
-    normalized_inputs: bool
 
     @property
     def subgroup_count(self) -> int:
@@ -670,7 +670,6 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         raise StructureError("base set must be contained in the top set")
     A = dcl(M, A0)
     C = dcl(M, C0)
-    normalized = (A != A0) or (C != C0)
     try:
         restr = relative_restriction(M, C, A)
     except NotInvariantError:
@@ -755,7 +754,6 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
         failures=tuple(failures),
         coding_ok=coding_ok,
         coding_failures=tuple(coding_failures),
-        normalized_inputs=normalized,
     )
 
 
@@ -764,66 +762,41 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
 
 @dataclass(frozen=True)
 class TowerCheck:
-    """One verified law; passed is None when its hypotheses do not apply."""
+    """One verified law: its status is "pass", "fail", or "skip" when its
+    hypotheses do not apply."""
 
     name: str
-    passed: bool | None
+    status: str
     detail: str
 
-    def to_json_dict(self) -> dict:
-        status = "skip" if self.passed is None else ("pass" if self.passed else "fail")
-        return {"name": self.name, "status": status, "detail": self.detail}
+
+def _status(holds: bool) -> str:
+    return "pass" if holds else "fail"
 
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Degrees, group orders, and verified laws for a tower base <= mid <= top."""
+    """Degrees, group orders, normality and verified laws for a tower
+    base <= mid <= top.  `degrees` and `orders` are keyed by pair
+    (mid_over_base, top_over_mid, top_over_base); `normality` by
+    mid_over_base, top_over_base, top_over_mid, and "subgroup" for whether
+    the subgroup fixing the mid is normal (None when the top is not normal
+    over the base)."""
 
-    structure: str
     base: tuple[str, ...]
     mid: tuple[str, ...]
     top: tuple[str, ...]
-    degree_mid_base: int
-    degree_top_mid: int
-    degree_top_base: int
-    order_mid_base: int
-    order_top_mid: int
-    order_top_base: int
-    normal_mid_base: bool
-    normal_top_base: bool
-    normal_top_mid: bool
-    subgroup_normal: bool | None
+    degrees: dict[str, int]
+    orders: dict[str, int]
+    normality: dict[str, bool | None]
     checks: tuple[TowerCheck, ...]
-    normalized_inputs: bool = False
 
     @property
     def verdict(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
+        return all(c.status != "fail" for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "base": list(self.base),
-            "mid": list(self.mid),
-            "top": list(self.top),
-            "degrees": {
-                "mid_over_base": self.degree_mid_base,
-                "top_over_mid": self.degree_top_mid,
-                "top_over_base": self.degree_top_base,
-            },
-            "orders": {
-                "mid_over_base": self.order_mid_base,
-                "top_over_mid": self.order_top_mid,
-                "top_over_base": self.order_top_base,
-            },
-            "normality": {
-                "mid_over_base": self.normal_mid_base,
-                "top_over_base": self.normal_top_base,
-                "top_over_mid": self.normal_top_mid,
-                "subgroup": self.subgroup_normal,
-            },
-            "checks": [c.to_json_dict() for c in self.checks],
-            "verdict": "pass" if self.verdict else "fail",
-        }
+        return {**asdict(self), "verdict": _status(self.verdict)}
 
 
 def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
@@ -848,31 +821,29 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
     if not (A0 <= B0 and B0 <= C0):
         raise StructureError("sets must be nested: base <= mid <= top")
     A, B, C = dcl(M, A0), dcl(M, B0), dcl(M, C0)
-    normalized = (A, B, C) != (A0, B0, C0)
     if not (A <= B and B <= C):
         raise InternalCheckError("definable closure broke the tower nesting")
 
-    d_ba = degree_of_extension(M, A, B, max_len)
-    d_cb = degree_of_extension(M, B, C, max_len)
-    d_ca = degree_of_extension(M, A, C, max_len)
-    o_ba = extension_aut_order(M, B, A, max_len)
-    o_cb = extension_aut_order(M, C, B, max_len)
-    o_ca = extension_aut_order(M, C, A, max_len)
-    n_ba = is_normal_extension(M, A, B)
-    n_ca = is_normal_extension(M, A, C)
-    n_cb = is_normal_extension(M, B, C)
+    pairs = {"mid_over_base": (A, B), "top_over_mid": (B, C), "top_over_base": (A, C)}
+    degrees = {key: degree_of_extension(M, lo, hi, max_len)
+               for key, (lo, hi) in pairs.items()}
+    orders = {key: extension_aut_order(M, hi, lo, max_len)
+              for key, (lo, hi) in pairs.items()}
+    normality = {key: is_normal_extension(M, *pairs[key])
+                 for key in ("mid_over_base", "top_over_base", "top_over_mid")}
+    d_ba, d_cb, d_ca = degrees.values()
+    o_ba, o_cb, o_ca = orders.values()
+    n_ba, n_ca, n_cb = normality.values()
 
     checks: list[TowerCheck] = []
     checks.append(TowerCheck(
-        "degree_product", d_ca == d_cb * d_ba,
+        "degree_product", _status(d_ca == d_cb * d_ba),
         f"deg(top/base) = {d_ca}, deg(top/mid)*deg(mid/base) = {d_cb}*{d_ba}"))
-    for tag, deg, order, normal in (
-            ("mid/base", d_ba, o_ba, n_ba),
-            ("top/mid", d_cb, o_cb, n_cb),
-            ("top/base", d_ca, o_ca, n_ca)):
+    for key in pairs:
+        deg, order, normal = degrees[key], orders[key], normality[key]
         checks.append(TowerCheck(
-            f"degree_is_aut_order_iff_normal[{tag}]",
-            (deg == order) == normal,
+            f"degree_is_aut_order_iff_normal[{key.replace('_over_', '/')}]",
+            _status((deg == order) == normal),
             f"deg = {deg}, |Aut| = {order}, normal = {normal}"))
 
     subgroup_normal = None
@@ -884,54 +855,49 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
         image_direct = relative_aut(M, B, A)
         kernel_direct = relative_aut(M, C, B)
         checks.append(TowerCheck(
-            "restriction_onto_mid_group", inner.image.equals(image_direct),
+            "restriction_onto_mid_group", _status(inner.image.equals(image_direct)),
             f"restriction image order {inner.image.order}, "
             f"|Aut(mid/base)| = {image_direct.order}"))
         checks.append(TowerCheck(
-            "restriction_kernel_is_top_over_mid", inner.kernel.equals(kernel_direct),
+            "restriction_kernel_is_top_over_mid",
+            _status(inner.kernel.equals(kernel_direct)),
             f"kernel order {inner.kernel.order}, |Aut(top/mid)| = {kernel_direct.order}"))
         checks.append(TowerCheck(
-            "order_product", o_ca == o_cb * o_ba,
+            "order_product", _status(o_ca == o_cb * o_ba),
             f"|Aut(top/base)| = {o_ca}, product = {o_cb}*{o_ba}"))
     else:
         detail = "mid and top are not both normal over the base"
-        checks.append(TowerCheck("restriction_onto_mid_group", None, detail))
-        checks.append(TowerCheck("restriction_kernel_is_top_over_mid", None, detail))
-        checks.append(TowerCheck("order_product", None, detail))
+        checks.append(TowerCheck("restriction_onto_mid_group", "skip", detail))
+        checks.append(TowerCheck("restriction_kernel_is_top_over_mid", "skip", detail))
+        checks.append(TowerCheck("order_product", "skip", detail))
 
     if n_ca:
         G = relative_aut(M, C, A)
         H = fix_of_set(M, C, A, B)
         subgroup_normal = is_normal_subgroup(H, G)
         checks.append(TowerCheck(
-            "subgroup_normal_iff_mid_normal", subgroup_normal == n_ba,
+            "subgroup_normal_iff_mid_normal", _status(subgroup_normal == n_ba),
             f"subgroup normal = {subgroup_normal}, mid normal = {n_ba}"))
         checks.append(TowerCheck(
-            "top_stays_normal_over_mid", n_cb,
+            "top_stays_normal_over_mid", _status(n_cb),
             f"top normal over mid = {n_cb} given top normal over base"))
     else:
         detail = "top is not normal over the base"
-        checks.append(TowerCheck("subgroup_normal_iff_mid_normal", None, detail))
-        checks.append(TowerCheck("top_stays_normal_over_mid", None, detail))
+        checks.append(TowerCheck("subgroup_normal_iff_mid_normal", "skip", detail))
+        checks.append(TowerCheck("top_stays_normal_over_mid", "skip", detail))
+    normality["subgroup"] = subgroup_normal
 
     splits, witness = is_splitting_extension(M, A, B, max_len)
     if splits:
         checks.append(TowerCheck(
-            "splitting_mid_is_normal", n_ba,
+            "splitting_mid_is_normal", _status(n_ba),
             f"witness orbit of {fmt_tuple(M, witness)}, "
             f"mid normal = {n_ba}"))
     else:
         checks.append(TowerCheck(
-            "splitting_mid_is_normal", None,
+            "splitting_mid_is_normal", "skip",
             f"mid is not a splitting extension within length {max_len}"))
 
     return TowerReport(
-        structure=M.name,
         base=M.render_set(A), mid=M.render_set(B), top=M.render_set(C),
-        degree_mid_base=d_ba, degree_top_mid=d_cb, degree_top_base=d_ca,
-        order_mid_base=o_ba, order_top_mid=o_cb, order_top_base=o_ca,
-        normal_mid_base=n_ba, normal_top_base=n_ca, normal_top_mid=n_cb,
-        subgroup_normal=subgroup_normal,
-        checks=tuple(checks),
-        normalized_inputs=normalized,
-    )
+        degrees=degrees, orders=orders, normality=normality, checks=tuple(checks))

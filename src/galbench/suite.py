@@ -184,8 +184,7 @@ def run_law_suite(M: Structure, trials: int = 200, seed: int = 0,
             note(degree_tower, f"{tag}: x={x} y={y}: {d_ca} != {d_cb}*{d_ba}")
 
         gen = find_generator(M, A_cl, B, max_len)
-        inside = sum(1 for t in orbit_over(M, gen, A_cl).orbit
-                     if all(e in B for e in t))
+        inside = sum(1 for t in orbit_over(M, gen, A_cl) if all(e in B for e in t))
         o_ba = extension_aut_order(M, B, A_cl, max_len)
         if o_ba != inside:
             note(count_law, f"{tag}: |Aut| {o_ba} != orbit points inside {inside}")
@@ -261,6 +260,6 @@ def run_full_verification(M: Structure, trials: int = 200, seed: int = 0,
     tr = verify_tower(M, base, mid, top, max_len=max_len)
     if not tr.verdict:
         tower_law.violations.extend(
-            f"{c.name}: {c.detail}" for c in tr.checks if c.passed is False)
+            f"{c.name}: {c.detail}" for c in tr.checks if c.status == "fail")
     report.laws.append(tower_law)
     return report

@@ -469,7 +469,7 @@ def slow_is_normal_extension(M, A, B) -> bool:
 
 def slow_find_generator(M, A, B, max_len=3):
     """`find_generator` with every tuple over B tried in product order,
-    repeats and every ordering included."""
+    repeats and every ordering included, and no length skipped."""
     A = M.check_subset(A, "base set")
     B = M.check_subset(B, "extension set")
     if not A <= B:
@@ -557,7 +557,6 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
         raise StructureError("base set must be contained in the top set")
     A = dcl(M, A0)
     C = dcl(M, C0)
-    normalized = (A != A0) or (C != C0)
     if not slow_is_normal_extension(M, A, C):
         raise HypothesisError(
             "top set is not a normal extension of the base: some orbit leaves it")
@@ -638,7 +637,7 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
         group_order=G.order, subgroups=tuple(H.generator_strings() for H in subs),
         intermediates=tuple(M.render_set(B) for B in intermediates),
         pairs=tuple(pairs), failures=tuple(failures), coding_ok=coding_ok,
-        coding_failures=tuple(coding_failures), normalized_inputs=normalized)
+        coding_failures=tuple(coding_failures))
 
 
 # -- formula evaluation oracle ------------------------------------------------------

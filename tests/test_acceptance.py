@@ -89,18 +89,18 @@ def test_tower_law_gf16():
         report = verify_tower(M, M.ids(["0", "1"]),
                               M.ids(["0", "1", "w5", "w10"]),
                               frozenset(range(16)))
-        assert (report.degree_mid_base, report.degree_top_mid,
-                report.degree_top_base) == (2, 2, 4)
-        assert report.degree_top_base == report.degree_top_mid * report.degree_mid_base
-        assert (report.order_mid_base, report.order_top_mid,
-                report.order_top_base) == (2, 2, 4)
-        assert report.order_top_base == report.order_top_mid * report.order_mid_base
-        assert report.normal_mid_base and report.normal_top_base and report.normal_top_mid
-        assert report.subgroup_normal is True
-        exactness = {c.name: c.passed for c in report.checks}
-        assert exactness["restriction_onto_mid_group"] is True
-        assert exactness["restriction_kernel_is_top_over_mid"] is True
-        assert exactness["order_product"] is True
+        assert tuple(report.degrees.values()) == (2, 2, 4)
+        assert report.degrees["top_over_base"] == \
+            report.degrees["top_over_mid"] * report.degrees["mid_over_base"]
+        assert tuple(report.orders.values()) == (2, 2, 4)
+        assert report.orders["top_over_base"] == \
+            report.orders["top_over_mid"] * report.orders["mid_over_base"]
+        assert report.normality == {"mid_over_base": True, "top_over_base": True,
+                                    "top_over_mid": True, "subgroup": True}
+        exactness = {c.name: c.status for c in report.checks}
+        assert exactness["restriction_onto_mid_group"] == "pass"
+        assert exactness["restriction_kernel_is_top_over_mid"] == "pass"
+        assert exactness["order_product"] == "pass"
         assert report.verdict is True
     _criterion("tower law: degrees 2,2,4 with exact sequence on the field tower",
                30.0, check)

@@ -400,6 +400,30 @@ def test_verify_exits_like_tower_on_an_undetermined_degree(tmp_path, capsys):
     assert capsys.readouterr().err == tower_err
 
 
+UNDETERMINED = "error: no generating tuple of length <= 3; degree undetermined\n"
+
+
+@pytest.mark.parametrize("argv, code, text, err", [
+    (["generator", "--base", "", "--top", "ALL"], 0,
+     "none (no generator of length <= 3)\n", ""),
+    (["degree", "--base", "", "--top", "ALL"], 2, "", UNDETERMINED),
+    (["tower", "--sets", ";p0;ALL"], 2, "", UNDETERMINED),
+], ids=["generator", "degree", "tower"])
+def test_generator_search_on_sixteen_unrelated_points_ends_at_once(argv, code, text, err,
+                                                                    tmp_path, capsys):
+    """Sixteen unrelated points: over the empty base or p0 no set of at most
+    3 points has as many images as |Aut(M/A) : Aut(M/B)|, so the search
+    tries no set past (p0,); trying each of the 697 sets, one closure of
+    S16 apiece, took over 30 s."""
+    path = tmp_path / "p16.txt"
+    path.write_text("structure P16 { universe = { "
+                    + ", ".join(f"p{i}" for i in range(16)) + " } }\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert run(argv[:1] + [str(path)] + argv[1:]) == (code, text)
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("name", ["GF4", "C5"])
 def test_verify_at_max_len_0_exits_2(name, capsys):
     code, text = run(["verify", f"corpus:{name}", "--max-len", "0", "--trials", "5"])

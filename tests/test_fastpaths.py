@@ -626,6 +626,42 @@ def test_generator_matches_slow_path_on_generated(generated_structure):
     assert_generator_matches_slow_path(generated_structure)
 
 
+def test_generator_length_prune_matches_slow_path(monkeypatch):
+    """Groups large next to m(m - 1), m the points outside dcl(A): six
+    unrelated points (S6), three disjoint edges (order 48) and two disjoint
+    triangles (order 72).  The search computes |G : Aut(M/B)| there and
+    skips the lengths whose tuples have fewer images; on seeded random
+    (base, top) pairs it answers as the search over every tuple does, and
+    some searches start past length 1."""
+    import galbench.galois as galois
+    starts = []
+    real = galois._candidate_tuples
+
+    def recorded(pool, shortest, longest):
+        starts.append(shortest)
+        return real(pool, shortest, longest)
+
+    monkeypatch.setattr(galois, "_candidate_tuples", recorded)
+    for M in (load_structure("structure P6 { universe = { a, b, c, d, e, f } }"),
+              structure_from("Edges3", 6, [("E", 2, [(0, 1), (1, 0), (2, 3), (3, 2),
+                                                     (4, 5), (5, 4)])], seed=3),
+              structure_from("Tri2", 6, [("E", 2, [(i, j) for i in range(6)
+                                                   for j in range(6) if i != j
+                                                   and i // 3 == j // 3])], seed=5)):
+        rng = random.Random(M.name)
+        pairs = [(frozenset(), frozenset(range(M.size)))]
+        for _ in range(8):
+            A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
+            pairs.append((A, A | frozenset(rng.sample(range(M.size),
+                                                      rng.randint(0, M.size)))))
+        for A, B in pairs:
+            for max_len in range(5):
+                assert find_generator(M, A, B, max_len) == \
+                    oracles.slow_find_generator(M, A, B, max_len), \
+                    (M.name, sorted(A), sorted(B), max_len)
+    assert max(starts) >= 3
+
+
 def test_splitting_closes_each_set_once(monkeypatch):
     """Two swappable pairs over the empty base: the candidates (a), (b), (c),
     (d), (a, b) bring only the entry sets {a, b} and {c, d}, and (a, c) is

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +19,7 @@ from galbench.galois import (FieldOps, _candidate_tuples, acl, codes_finite_sets
                              verify_tower)
 from galbench.perm import close_group
 from galbench.structure import load_structure
+from galbench.suite import run_law_suite
 
 from oracles import frobenius_perm
 
@@ -82,16 +84,13 @@ def test_closure_laws_random(corpus_structure):
 
 
 def test_orbit_over_examples(ex_rs, gf16):
-    desc = orbit_over(ex_rs, (ex_rs.resolve("a"),), frozenset())
-    assert desc.degree == 4
-    assert desc.orbit == tuple((i,) for i in range(4))
+    assert orbit_over(ex_rs, (ex_rs.resolve("a"),), frozenset()) == \
+        tuple((i,) for i in range(4))
 
     w = gf16.resolve("w")
-    desc16 = orbit_over(gf16, (w,), ids(gf16, *GF2_16))
-    assert desc16.degree == 4
+    assert len(orbit_over(gf16, (w,), ids(gf16, *GF2_16))) == 4
 
-    fixed = orbit_over(ex_rs, (0,), ids(ex_rs, "a"))
-    assert fixed.degree == 1
+    assert orbit_over(ex_rs, (0,), ids(ex_rs, "a")) == ((0,),)
 
 
 def test_orbit_degree_divides_group_order(corpus_structure):
@@ -102,7 +101,7 @@ def test_orbit_degree_divides_group_order(corpus_structure):
         A = frozenset(rng.sample(range(M.size), rng.randint(0, 2)))
         b = tuple(rng.randrange(M.size) for _ in range(rng.randint(1, 2)))
         G = automorphism_group_fixing(M, A)
-        assert G.order % orbit_over(M, b, A).degree == 0
+        assert G.order % len(orbit_over(M, b, A)) == 0
 
 
 # -- irreducible formulas --------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_degree_independent_of_generator_choice(gf16):
     for name in ("w", "w2", "w4", "w7", "w11", "w13"):
         x = gf16.resolve(name)
         assert dcl(gf16, A | {x}) == top
-        assert orbit_over(gf16, (x,), A).degree == 4
+        assert len(orbit_over(gf16, (x,), A)) == 4
 
 
 def test_degree_inconclusive_when_no_generator():
@@ -220,18 +219,32 @@ def test_each_entry_set_once_finds_the_first_tuple_in_product_order(case):
 
 
 def test_tuple_searches_count_candidates_as_they_run(monkeypatch):
-    """Seven unrelated points: the first generator over the empty base is
-    (p0, ..., p5), candidate 7 + 21 + 35 + 35 + 21 + 1 = 120 of the search,
-    which tries each entry set once; the first splitting witness is (p0,),
-    candidate 2."""
+    """Three pairs, each swapped on its own: Aut is (Z2)^3, of order 8, not
+    above P(6, 2) = 30, so the generator search skips no length, and the
+    first generator over the empty base, (a0, a1, a2), is candidate
+    6 + 15 + 6 = 27.  Seven unrelated points: a set of k points has an
+    orbit of P(7, k) tuples, below |S7| = 5040 for k < 6, so the search
+    starts at length 6 and its first set (p0, ..., p5) generates; the first
+    splitting witness is (p0,), candidate 2."""
     import galbench.galois as galois
+    M = load_structure("structure Pairs3 {\n  universe = { a0, b0, a1, b1, a2, b2 }\n"
+                       "  rel P0/1 = { (a0), (b0) }\n  rel P1/1 = { (a1), (b1) }\n}\n")
+    everything = frozenset(M.universe)
+    first = tuple(map(M.resolve, ("a0", "a1", "a2")))
+    assert find_generator(M, frozenset(), everything, max_len=3) == first
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 27)
+    assert find_generator(M, frozenset(), everything, max_len=3) == first
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 26)
+    with pytest.raises(CapError, match="passed 26 candidates at length 3"):
+        find_generator(M, frozenset(), everything, max_len=3)
+
     M = load_structure("structure P7 { universe = { p0, p1, p2, p3, p4, p5, p6 } }")
     everything = frozenset(M.universe)
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 1)
     assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
-    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 120)
-    assert find_generator(M, frozenset(), everything, max_len=7) == (0, 1, 2, 3, 4, 5)
-    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 119)
-    with pytest.raises(CapError, match="passed 119 candidates at length 6"):
+    monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 0)
+    assert find_generator(M, frozenset(), everything, max_len=5) is None
+    with pytest.raises(CapError, match="passed 0 candidates at length 6"):
         find_generator(M, frozenset(), everything, max_len=7)
     monkeypatch.setattr(galois, "TUPLE_SEARCH_CAP", 2)
     assert is_splitting_extension(M, frozenset(), everything, max_len=100) == (True, (0,))
@@ -498,7 +511,6 @@ def test_duality_rejects_non_normal_top(twotri):
 
 def test_duality_closes_inputs(rigid3):
     report = verify_galois_correspondence(rigid3, frozenset(), frozenset(range(3)))
-    assert report.normalized_inputs is True
     assert report.base == ("p", "q", "r")
 
 
@@ -509,7 +521,7 @@ def test_duality_and_tower_on_empty_sets(ex_rs):
     assert report.subgroup_count == report.intermediate_count == 1
     tower = verify_tower(ex_rs, frozenset(), frozenset(), frozenset())
     assert tower.verdict is True
-    assert tower.degree_top_base == 1
+    assert tower.degrees["top_over_base"] == 1
 
 
 # -- towers ---------------------------------------------------------------------------------
@@ -518,31 +530,26 @@ def test_duality_and_tower_on_empty_sets(ex_rs):
 def test_tower_gf16(gf16):
     report = verify_tower(gf16, ids(gf16, *GF2_16), ids(gf16, *GF4_16),
                           frozenset(range(16)))
-    assert (report.degree_mid_base, report.degree_top_mid,
-            report.degree_top_base) == (2, 2, 4)
-    assert (report.order_mid_base, report.order_top_mid,
-            report.order_top_base) == (2, 2, 4)
-    assert report.normal_mid_base and report.normal_top_base and report.normal_top_mid
-    assert report.subgroup_normal is True
+    assert report.degrees == {"mid_over_base": 2, "top_over_mid": 2, "top_over_base": 4}
+    assert report.orders == {"mid_over_base": 2, "top_over_mid": 2, "top_over_base": 4}
+    assert report.normality == {"mid_over_base": True, "top_over_base": True,
+                                "top_over_mid": True, "subgroup": True}
     assert report.verdict is True
-    assert all(c.passed for c in report.checks)
+    assert all(c.status == "pass" for c in report.checks)
 
 
 def test_tower_degenerate_ex_rs(ex_rs):
     C = ids(ex_rs, "a", "b", "c", "d")
     report = verify_tower(ex_rs, frozenset(), dcl(ex_rs, ids(ex_rs, "a")), C)
-    assert (report.degree_mid_base, report.degree_top_mid,
-            report.degree_top_base) == (4, 1, 4)
+    assert tuple(report.degrees.values()) == (4, 1, 4)
     assert report.verdict is True
 
 
 def test_tower_all_equal(ex_rs):
     A = ids(ex_rs, "a", "b", "c", "d")
     report = verify_tower(ex_rs, A, A, A)
-    assert (report.degree_mid_base, report.degree_top_mid,
-            report.degree_top_base) == (1, 1, 1)
-    assert (report.order_mid_base, report.order_top_mid,
-            report.order_top_base) == (1, 1, 1)
+    assert tuple(report.degrees.values()) == (1, 1, 1)
+    assert tuple(report.orders.values()) == (1, 1, 1)
     assert report.verdict is True
 
 
@@ -550,13 +557,12 @@ def test_tower_with_non_normal_mid(twotri):
     mid = ids(twotri, "x0", "x1", "x2")
     top = frozenset(range(6))
     report = verify_tower(twotri, frozenset(), mid, top)
-    assert report.normal_mid_base is False
-    assert report.subgroup_normal is False
-    assert (report.degree_mid_base, report.degree_top_mid,
-            report.degree_top_base) == (6, 3, 18)
+    assert report.normality["mid_over_base"] is False
+    assert report.normality["subgroup"] is False
+    assert tuple(report.degrees.values()) == (6, 3, 18)
     # the middle group order counts partial elementary self-maps: the three
     # rotations keep the triangle inside itself, the swaps do not
-    assert report.order_mid_base == 3
+    assert report.orders["mid_over_base"] == 3
     assert report.verdict is True  # the biconditionals themselves hold
 
 
@@ -576,3 +582,13 @@ def test_partial_map_count_matches_restriction_when_invariant(ex_rs):
     C = ids(ex_rs, "a", "b", "c", "d")
     assert extension_aut_order(ex_rs, C, frozenset()) == \
         relative_aut(ex_rs, C, frozenset()).order == 4
+
+
+@pytest.mark.parametrize("make", [
+    codes_finite_sets,
+    lambda M: run_law_suite(M, trials=2),
+    lambda M: verify_tower(M, frozenset(), dcl(M, {0}), frozenset(range(M.size))),
+], ids=["CodesReport", "SuiteReport", "TowerReport"])
+def test_report_json_is_its_fields_plus_verdict(make, ex_rs):
+    report = make(ex_rs)
+    assert list(report.to_json_dict()) == [f.name for f in fields(report)] + ["verdict"]
