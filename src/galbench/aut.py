@@ -243,9 +243,6 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
                 known = _transversal(x, gens, ident)
         if len(known) > 1:
             chain.append((x, tuple(gens), known))
-        for e in range(n):
-            img[e] = -1
-            pre[e] = -1
     chain.reverse()
     trans = tuple(t for _, _, t in chain)
     return PermGroup(n, tuple(sorted(gens)), tuple(x for x, _, _ in chain),

@@ -1,8 +1,9 @@
 """Embedded corpus of structures used by the CLI and the verification suite.
 
 Every entry is source text in the structure format, so the whole workbench
-runs with no external files.  Loaded structures are cached per name; they are
-immutable, so sharing is safe.
+runs with no external files.  Loaded structures are cached per name and
+shared: their relation data never changes, and the facts derived from them
+are memoized on the shared structure.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def load_corpus(name: str) -> Structure:
-    """The named corpus structure (cached; structures are immutable)."""
+    """The named corpus structure, loaded once and then shared."""
     entry = CORPUS.get(name)
     if entry is None:
         raise StructureError(

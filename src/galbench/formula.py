@@ -13,7 +13,12 @@ Grammar (own invention; any equally expressive syntax would do)::
     primary  :=  '(' formula ')' | REL '(' term {',' term} ')' | term '=' term
 
 Precedence ``~ > & > | > -> > <->``; a quantifier's body extends as far right
-as possible.  A formula nests at most `MAX_DEPTH` levels deep, counted both as
+as possible.  The binary connectives' levels and associativity are one table,
+`_BINARY`, which the parser's precedence loop and the printer both read.
+Error positions are character indices into the text: a character that starts
+no token is reported at its own index before parsing begins, and an error
+past the last token at ``len(text)`` (the "unexpected end of input" errors
+carry no position).  A formula nests at most `MAX_DEPTH` levels deep, counted both as
 open ``~``/quantifier/parenthesis levels while parsing and as the depth of
 the syntax tree, so parsing, printing and evaluation (all recursive) stay
 far inside Python's recursion limit.  Terms are bare identifiers; whether an
@@ -26,19 +31,19 @@ Evaluation is bounded in work as well as depth: each `evaluate` or
 iteration and every candidate tuple) and raises `CapError` past
 `EVAL_STEP_CAP`.
 
-Formulas and assignments are immutable values and evaluation is pure, so
-concurrent evaluations are safe.
+Formulas are immutable values, and evaluation only reads the structure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Iterable, Mapping, Union
 
 from .errors import CapError, EvalError, FormulaError
-from .structure import Signature, Structure, is_identifier
+from .structure import Signature, Structure, is_element_name, is_identifier
 
 # -- abstract syntax ----------------------------------------------------------
 
@@ -105,7 +110,12 @@ class ExactCount:
 
 Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, ExactCount]
 
-_BINARY = {And: ("&", 4), Or: ("|", 3), Implies: ("->", 2), Iff: ("<->", 1)}
+#: Each binary connective's operator, precedence level (higher binds
+#: tighter; ``~`` and the quantifiers' heads sit above, at 5) and whether it
+#: associates to the right.  The parser and the printer both read this table.
+_BINARY = {And: ("&", 4, False), Or: ("|", 3, False),
+           Implies: ("->", 2, True), Iff: ("<->", 1, True)}
+_OPS = {op: (node, level, right) for node, (op, level, right) in _BINARY.items()}
 _QUANTS = (Forall, Exists, ExactCount)
 
 
@@ -114,183 +124,27 @@ _QUANTS = (Forall, Exists, ExactCount)
 #: Deepest nesting a formula may have; deeper input is a `FormulaError`.
 MAX_DEPTH = 100
 
-_FTOKEN_RE = re.compile(r"\s*(<->|->|[A-Za-z0-9_]+|[()~&|=.!,])")
+_FTOKEN_RE = re.compile(r"<->|->|[A-Za-z0-9_]+|[()~&|=.!,]|(\S)")
 
 
-def _lex(text: str) -> list[tuple[str, int]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _FTOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].isspace():
-                break
-            raise FormulaError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        toks.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return toks
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of `text` and each one's position, then the end sentinel
+    ``""`` at position ``len(text)``.
 
-
-class _FParser:
-    def __init__(self, text: str, sig: Signature):
-        self.toks = _lex(text)
-        self.sig = sig
-        self.pos = 0
-        self.bound: list[str] = []
-        self.depth = 0
-
-    def peek(self, offset: int = 0) -> str | None:
-        i = self.pos + offset
-        return self.toks[i][0] if i < len(self.toks) else None
-
-    def where(self) -> int:
-        return self.toks[self.pos][1] if self.pos < len(self.toks) else -1
-
-    def take(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            raise FormulaError("unexpected end of input"
-                               + (f", expected {expected!r}" if expected else ""))
-        tok, at = self.toks[self.pos]
-        if expected is not None and tok != expected:
-            raise FormulaError(f"expected {expected!r}, found {tok!r}", at)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.pos < len(self.toks):
-            raise FormulaError(f"trailing input {self.peek()!r}", self.where())
-        if _tree_depth(f) > MAX_DEPTH:
-            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
-        return f
-
-    def _right_chain(self, op: str, operand, node) -> Formula:
-        # a right-associative chain, read in a loop so that long chains do
-        # not recurse
-        parts = [operand()]
-        while self.peek() == op:
-            self.take()
-            parts.append(operand())
-        f = parts.pop()
-        while parts:
-            f = node(parts.pop(), f)
-        return f
-
-    def formula(self) -> Formula:
-        return self._right_chain("<->", self.implies, Iff)
-
-    def implies(self) -> Formula:
-        return self._right_chain("->", self.disjunction, Implies)
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def _at_quantifier(self) -> bool:
-        head = self.peek()
-        if head == "A" or head == "E":
-            # 'A x.' / 'E x.' — require a variable then a dot
-            return (self.peek(1) is not None and is_identifier(self.peek(1))
-                    and self.peek(2) == ".")
-        return False
-
-    def unary(self) -> Formula:
-        # every nested subformula (negation, quantifier body, parentheses)
-        # is parsed through here, so this counts the parser's recursion
-        if self.depth == MAX_DEPTH:
-            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels",
-                               self.where())
-        self.depth += 1
-        try:
-            return self._unary()
-        finally:
-            self.depth -= 1
-
-    def _unary(self) -> Formula:
-        head = self.peek()
-        if head == "~":
-            self.take()
-            return Not(self.unary())
-        if head == "E" and self.peek(1) == "!":
-            return self.quantifier()
-        if self._at_quantifier():
-            return self.quantifier()
-        return self.primary()
-
-    def quantifier(self) -> Formula:
-        kind = self.take()
-        count = None
-        if kind == "E" and self.peek() == "!":
-            self.take("!")
-            at = self.where()
-            num = self.take()
-            if not num.isdigit():
-                raise FormulaError(f"expected a count after 'E!', found {num!r}", at)
-            count = int(num)
-        at = self.where()
-        var = self.take()
-        if not is_identifier(var):
-            raise FormulaError(f"illegal variable name {var!r}", at)
-        if var in self.bound:
-            raise FormulaError(f"variable {var!r} is quantified twice on one branch", at)
-        self.take(".")
-        self.bound.append(var)
-        try:
-            body = self.formula()
-        finally:
-            self.bound.pop()
-        if count is not None:
-            return ExactCount(count, var, body)
-        return Forall(var, body) if kind == "A" else Exists(var, body)
-
-    def primary(self) -> Formula:
-        head = self.peek()
-        if head == "(":
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
-        at = self.where()
-        if head is None:
-            raise FormulaError("unexpected end of input, expected an atom")
-        if not re.fullmatch(r"[A-Za-z0-9_]+", head):
-            raise FormulaError(f"expected an atom, found {head!r}", at)
-        ident = self.take()
-        if self.peek() == "(":
-            if not self.sig.has(ident):
-                raise FormulaError(f"unknown relation {ident!r}", at)
-            self.take("(")
-            args = [self._term()]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self._term())
-            self.take(")")
-            arity = self.sig.arity(ident)
-            if len(args) != arity:
-                raise FormulaError(
-                    f"relation {ident!r} has arity {arity}, got {len(args)} arguments", at)
-            return Atom(ident, tuple(args))
-        if self.peek() == "=":
-            self.take("=")
-            return Eq(ident, self._term())
-        raise FormulaError(f"expected '(' or '=' after {ident!r}", self.where())
-
-    def _term(self) -> str:
-        at = self.where()
-        tok = self.take()
-        if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
-            raise FormulaError(f"expected a term, found {tok!r}", at)
-        return tok
+    The whole text is scanned before parsing begins, so a character that
+    starts no token (the pattern's last alternative) is reported, at its own
+    position, ahead of any syntax error.
+    """
+    toks: list[str] = []
+    where: list[int] = []
+    for m in _FTOKEN_RE.finditer(text):
+        if m.group(1):
+            raise FormulaError(f"unexpected character {m.group(1)!r}", m.start())
+        toks.append(m.group())
+        where.append(m.start())
+    toks.append("")  # end sentinel: equal to no operator, punctuation or name
+    where.append(len(text))
+    return toks, where
 
 
 def _tree_depth(f: Formula) -> int:
@@ -310,7 +164,114 @@ def _tree_depth(f: Formula) -> int:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse formula text against a signature into a well-scoped AST."""
-    return _FParser(text, sig).parse()
+    toks, where = _lex(text)
+    bound: list[str] = []  # the variables quantified on the current branch
+
+    def take(i: int) -> str:
+        if not toks[i]:
+            raise FormulaError("unexpected end of input")
+        return toks[i]
+
+    def expect(i: int, word: str) -> int:
+        if toks[i] != word:
+            if not toks[i]:
+                raise FormulaError(f"unexpected end of input, expected {word!r}")
+            raise FormulaError(f"expected {word!r}, found {toks[i]!r}", where[i])
+        return i + 1
+
+    def term(i: int) -> str:
+        tok = take(i)
+        if not is_element_name(tok):
+            raise FormulaError(f"expected a term, found {tok!r}", where[i])
+        return tok
+
+    def climb(i: int, need: int, depth: int) -> tuple[Formula, int]:
+        # the connectives of level `need` or above; a chain of one connective
+        # is read in a loop and folded by its associativity, so long chains
+        # do not recurse
+        f, i = unary(i, depth)
+        while toks[i] in _OPS and _OPS[toks[i]][1] >= need:
+            op = toks[i]
+            node, level, right = _OPS[op]
+            parts = [f]
+            while toks[i] == op:
+                g, i = climb(i + 1, level + 1, depth)
+                parts.append(g)
+            if right:
+                f = reduce(lambda acc, left: node(left, acc), reversed(parts))
+            else:
+                f = reduce(node, parts)
+        return f, i
+
+    def unary(i: int, depth: int) -> tuple[Formula, int]:
+        # every nested subformula (negation, quantifier body, parentheses)
+        # is parsed through here one level deeper, so `depth` counts the
+        # parser's recursion
+        if depth == MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels", where[i])
+        head = toks[i]
+        if head == "~":
+            f, i = unary(i + 1, depth + 1)
+            return Not(f), i
+        if (head == "E" and toks[i + 1] == "!"
+                or head in ("A", "E") and is_identifier(toks[i + 1]) and toks[i + 2] == "."):
+            count = None
+            i += 1
+            if toks[i] == "!":
+                num = take(i + 1)
+                if not num.isdigit():
+                    raise FormulaError(f"expected a count after 'E!', found {num!r}", where[i + 1])
+                try:
+                    count = int(num)
+                except ValueError:  # more digits than int() converts
+                    raise FormulaError(f"count of {len(num)} digits is too large",
+                                       where[i + 1]) from None
+                i += 2
+            var = take(i)
+            if not is_identifier(var):
+                raise FormulaError(f"illegal variable name {var!r}", where[i])
+            if var in bound:
+                raise FormulaError(f"variable {var!r} is quantified twice on one branch",
+                                   where[i])
+            i = expect(i + 1, ".")
+            bound.append(var)
+            body, i = climb(i, 1, depth + 1)
+            bound.pop()
+            if count is not None:
+                return ExactCount(count, var, body), i
+            return (Forall if head == "A" else Exists)(var, body), i
+        if head == "(":
+            f, i = climb(i + 1, 1, depth + 1)
+            return f, expect(i, ")")
+        if not head:
+            raise FormulaError("unexpected end of input, expected an atom")
+        if not is_element_name(head):
+            raise FormulaError(f"expected an atom, found {head!r}", where[i])
+        at = where[i]
+        if toks[i + 1] == "(":
+            if not sig.has(head):
+                raise FormulaError(f"unknown relation {head!r}", at)
+            i += 2
+            args = [term(i)]
+            while toks[i + 1] == ",":
+                i += 2
+                args.append(term(i))
+            i = expect(i + 1, ")")
+            arity = sig.arity(head)
+            if len(args) != arity:
+                raise FormulaError(
+                    f"relation {head!r} has arity {arity}, got {len(args)} arguments", at)
+            return Atom(head, tuple(args)), i
+        if toks[i + 1] == "=":
+            return Eq(head, term(i + 2)), i + 3
+        raise FormulaError(f"expected '(' or '=' after {head!r}", where[i + 1])
+
+    f, i = climb(0, 1, 0)
+    if toks[i]:
+        raise FormulaError(f"trailing input {toks[i]!r}", where[i])
+    if _tree_depth(f) > MAX_DEPTH:
+        raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+    return f
 
 
 # -- printing -------------------------------------------------------------------
@@ -337,12 +298,11 @@ def _fmt(f: Formula, need: int) -> tuple[str, bool]:
         if need > 5:
             return "(" + text + ")", False
         return text, True
-    op, level = _BINARY[type(f)]
-    right_assoc = isinstance(f, (Implies, Iff))
-    ltext, ldang = _fmt(f.left, level + 1 if right_assoc else level)
+    op, level, right = _BINARY[type(f)]
+    ltext, ldang = _fmt(f.left, level + 1 if right else level)
     if ldang:
         ltext = "(" + ltext + ")"
-    rtext, rdang = _fmt(f.right, level if right_assoc else level + 1)
+    rtext, rdang = _fmt(f.right, level if right else level + 1)
     text = f"{ltext} {op} {rtext}"
     if level < need:
         return "(" + text + ")", False

@@ -16,8 +16,10 @@ Conventions used throughout (recorded once):
   (see `find_code`) or a bound past the candidate pool's size (see
   `_candidate_tuples`) makes the bounded answer exact.
 
-All operations are pure over immutable inputs; reports for different
-structures may be computed concurrently.
+No operation changes a structure's relation data or a group's chain.
+Derived facts (automorphism groups, fixed-point sets, element tables,
+stabilizers) are memoized in place on the structures and groups that own
+them.
 """
 
 from __future__ import annotations

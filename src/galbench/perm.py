@@ -13,8 +13,9 @@ A closure told the group's order stops sifting once the chain reaches it;
 builds its chain without any closure, with the same transversal builder,
 `_transversal`.
 
-Groups are immutable once closed; membership tests and queries are pure.
-Each group fills four slots on first use and keeps them: its element table,
+A group's generators and chain never change once closed; membership tests
+and queries only read them.  Derived facts are memoized in place: each group
+fills four slots on first use and keeps them: its element table,
 its fixed-point set, its point orbits (each point's orbit, read off the
 generators), and its pointwise stabilizers, keyed on the points in
 first-occurrence order because the chain depends on the order of the base

@@ -2,8 +2,9 @@
 
 A structure is a finite universe of elements 0..n-1, each carrying a name,
 together with a relational signature and one table of tuples per relation.
-Structures are immutable once built; every operation here is a pure read, so
-concurrent use needs no coordination.
+A structure's universe, names and relation tables never change once built.
+Facts derived from it (its automorphism group, and what other modules compute
+from that) are memoized in place, in the structure's `_caches`.
 
 The text format::
 
@@ -72,7 +73,7 @@ class Signature:
 
 
 class Structure:
-    """An immutable finite relational structure.
+    """A finite relational structure whose relation data never changes.
 
     Elements are dense indices ``0..size-1`` in declaration order; ``labels``
     maps index to name and ``names`` maps name to index.  Relation tables are

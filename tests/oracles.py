@@ -9,7 +9,8 @@ joins of Perm sets, the stabilizer closed twice, the duality check and code
 searches as loops over element lists, normality as an orbit search per
 element, the antitone law on closed subgroups, splitting as a tuple-orbit
 search per candidate, the element list as Perm products,
-the structure parser built on token objects, the automorphism search's
+the structure parser built on token objects, the formula parser built as a
+class, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
 here as references.  So is `all_subgroups`, the package's lattice masks
@@ -28,10 +29,10 @@ from typing import Iterable
 from galbench import perm, structure, suite
 from galbench.aut import (_incidence, _stable_colors, automorphism_group,
                           automorphism_group_fixing, relative_restriction)
-from galbench.errors import (CapError, DslError, GroupError, HypothesisError,
-                             InternalCheckError, StructureError)
-from galbench.formula import (And, Atom, Eq, ExactCount, Exists, Forall, Iff,
-                              Implies, Not, Or)
+from galbench.errors import (CapError, DslError, FormulaError, GroupError,
+                             HypothesisError, InternalCheckError, StructureError)
+from galbench.formula import (MAX_DEPTH, And, Atom, Eq, ExactCount, Exists, Forall,
+                              Formula, Iff, Implies, Not, Or, _tree_depth)
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
                              dcl, find_generator, fix_of_set, fix_of_subgroup,
                              fmt_group, fmt_set)
@@ -878,3 +879,197 @@ def slow_load_structure(text: str) -> Structure:
         p.fail(f"trailing input {p.peek()!r}")
 
     return Structure(name, Signature(tuple(rels)), labels, tables)
+
+
+# -- formula text oracle -------------------------------------------------------------
+
+
+_SLOW_FTOKEN_RE = re.compile(r"\s*(<->|->|[A-Za-z0-9_]+|[()~&|=.!,])")
+
+
+def _slow_lex(text: str) -> list[tuple[str, int]]:
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _SLOW_FTOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].isspace():
+                break
+            raise FormulaError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        toks.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return toks
+
+
+class _SlowFormulaParser:
+    def __init__(self, text: str, sig: Signature):
+        self.toks = _slow_lex(text)
+        self.sig = sig
+        self.pos = 0
+        self.bound: list[str] = []
+        self.depth = 0
+
+    def peek(self, offset: int = 0) -> str | None:
+        i = self.pos + offset
+        return self.toks[i][0] if i < len(self.toks) else None
+
+    def where(self) -> int:
+        return self.toks[self.pos][1] if self.pos < len(self.toks) else -1
+
+    def take(self, expected: str | None = None) -> str:
+        if self.pos >= len(self.toks):
+            raise FormulaError("unexpected end of input"
+                               + (f", expected {expected!r}" if expected else ""))
+        tok, at = self.toks[self.pos]
+        if expected is not None and tok != expected:
+            raise FormulaError(f"expected {expected!r}, found {tok!r}", at)
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.formula()
+        if self.pos < len(self.toks):
+            raise FormulaError(f"trailing input {self.peek()!r}", self.where())
+        if _tree_depth(f) > MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+        return f
+
+    def _right_chain(self, op: str, operand, node) -> Formula:
+        # a right-associative chain, read in a loop so that long chains do
+        # not recurse
+        parts = [operand()]
+        while self.peek() == op:
+            self.take()
+            parts.append(operand())
+        f = parts.pop()
+        while parts:
+            f = node(parts.pop(), f)
+        return f
+
+    def formula(self) -> Formula:
+        return self._right_chain("<->", self.implies, Iff)
+
+    def implies(self) -> Formula:
+        return self._right_chain("->", self.disjunction, Implies)
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.peek() == "|":
+            self.take()
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.unary()
+        while self.peek() == "&":
+            self.take()
+            left = And(left, self.unary())
+        return left
+
+    def _at_quantifier(self) -> bool:
+        head = self.peek()
+        if head == "A" or head == "E":
+            # 'A x.' / 'E x.' — require a variable then a dot
+            return (self.peek(1) is not None and is_identifier(self.peek(1))
+                    and self.peek(2) == ".")
+        return False
+
+    def unary(self) -> Formula:
+        # every nested subformula (negation, quantifier body, parentheses)
+        # is parsed through here, so this counts the parser's recursion
+        if self.depth == MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels",
+                               self.where())
+        self.depth += 1
+        try:
+            return self._unary()
+        finally:
+            self.depth -= 1
+
+    def _unary(self) -> Formula:
+        head = self.peek()
+        if head == "~":
+            self.take()
+            return Not(self.unary())
+        if head == "E" and self.peek(1) == "!":
+            return self.quantifier()
+        if self._at_quantifier():
+            return self.quantifier()
+        return self.primary()
+
+    def quantifier(self) -> Formula:
+        kind = self.take()
+        count = None
+        if kind == "E" and self.peek() == "!":
+            self.take("!")
+            at = self.where()
+            num = self.take()
+            if not num.isdigit():
+                raise FormulaError(f"expected a count after 'E!', found {num!r}", at)
+            count = int(num)
+        at = self.where()
+        var = self.take()
+        if not is_identifier(var):
+            raise FormulaError(f"illegal variable name {var!r}", at)
+        if var in self.bound:
+            raise FormulaError(f"variable {var!r} is quantified twice on one branch", at)
+        self.take(".")
+        self.bound.append(var)
+        try:
+            body = self.formula()
+        finally:
+            self.bound.pop()
+        if count is not None:
+            return ExactCount(count, var, body)
+        return Forall(var, body) if kind == "A" else Exists(var, body)
+
+    def primary(self) -> Formula:
+        head = self.peek()
+        if head == "(":
+            self.take()
+            f = self.formula()
+            self.take(")")
+            return f
+        at = self.where()
+        if head is None:
+            raise FormulaError("unexpected end of input, expected an atom")
+        if not re.fullmatch(r"[A-Za-z0-9_]+", head):
+            raise FormulaError(f"expected an atom, found {head!r}", at)
+        ident = self.take()
+        if self.peek() == "(":
+            if not self.sig.has(ident):
+                raise FormulaError(f"unknown relation {ident!r}", at)
+            self.take("(")
+            args = [self._term()]
+            while self.peek() == ",":
+                self.take(",")
+                args.append(self._term())
+            self.take(")")
+            arity = self.sig.arity(ident)
+            if len(args) != arity:
+                raise FormulaError(
+                    f"relation {ident!r} has arity {arity}, got {len(args)} arguments", at)
+            return Atom(ident, tuple(args))
+        if self.peek() == "=":
+            self.take("=")
+            return Eq(ident, self._term())
+        raise FormulaError(f"expected '(' or '=' after {ident!r}", self.where())
+
+    def _term(self) -> str:
+        at = self.where()
+        tok = self.take()
+        if not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+            raise FormulaError(f"expected a term, found {tok!r}", at)
+        return tok
+
+
+def slow_parse_formula(text: str, sig: Signature) -> Formula:
+    """The parser class that `parse_formula` replaced.
+
+    It gives the same AST, or the same exception with the same message, on
+    every input but three kinds: a count of more digits than int() converts
+    raised ValueError here; an error past the last token was placed at
+    position -1; and a stray character was placed where the whitespace
+    before it began.
+    """
+    return _SlowFormulaParser(text, sig).parse()

@@ -352,6 +352,24 @@ def test_deeply_nested_formula_exits_2(command, formula, capsys):
     assert "formula nests deeper than" in capsys.readouterr().err
 
 
+def test_a_count_too_long_for_int_exits_2(capsys):
+    code, text = run(["eval", "corpus:EX_RS", "E!" + "9" * 5000 + " x. R(x,x)"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: at position 2: count of 5000 digits is too large\n"
+
+
+@pytest.mark.parametrize("formula,err", [
+    ("a", "at position 1: expected '(' or '=' after 'a'"),
+    ("~" * 100, "at position 100: formula nests deeper than 100 levels"),
+    ("\t$", "at position 1: unexpected character '$'"),
+], ids=["end-after-name", "end-at-depth", "stray-after-tab"])
+def test_formula_errors_point_at_their_position(formula, err, capsys):
+    code, text = run(["parse", "corpus:EX_RS", formula])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     import galbench.cli
     from galbench.errors import InternalCheckError

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from galbench.formula import (MAX_DEPTH, And, Atom, Eq, ExactCount, Exists,
                               solution_set)
 from galbench.structure import load_structure
 
-from oracles import naive_eval, random_formula
+from oracles import naive_eval, random_formula, slow_parse_formula
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -80,6 +81,114 @@ def test_parse_errors(src, fragment, ex_rs):
 def test_sibling_branches_may_reuse_variable(ex_rs):
     f = parse_formula("(E x. R(x,a)) & (E x. S(x,a))", ex_rs.signature)
     assert isinstance(f, And)
+
+
+# -- agreement with the parser class it replaced ---------------------------------------
+
+# relations named like the quantifiers, so 'A(' and 'E(' start atoms
+_FUZZ = load_structure(
+    "structure F { universe = { a, b, 0 } rel R/2 = { (a, b) } rel E/1 = { } rel A/2 = { } }")
+_HUGE = "9" * 5000
+_TOKENS = ("~", "&", "|", "->", "<->", "(", ")", ",", ".", "=", "!", "A", "E", "E!",
+           "E!2", "A x.", "E y.", "E!1 z.", "x", "y", "a", "0", "x1", "R", "Q", "R(x,y)",
+           "E(a)", "A(x,0)", "Q(x)", "x = y", "$", "<", "-", "#", "é", "E!" + _HUGE, _HUGE)
+_SEPS = ("", " ", " ", "\t", "\n", "\u00a0", "\u2003")
+_AT = r"at position \d+: "
+# every message the parser raises; the depth check raises with and without a
+# position (while parsing, and on the finished tree)
+_PARSER_ERRORS = (
+    _AT + r"unexpected character '.+'",
+    _AT + r"trailing input '.+'",
+    _AT + r"formula nests deeper than 100 levels",
+    r"formula nests deeper than 100 levels",
+    r"unexpected end of input",
+    r"unexpected end of input, expected '.+'",
+    r"unexpected end of input, expected an atom",
+    _AT + r"expected '.+', found '.+'",
+    _AT + r"expected a count after 'E!', found '.+'",
+    _AT + r"count of \d+ digits is too large",
+    _AT + r"illegal variable name '.+'",
+    _AT + r"variable '.+' is quantified twice on one branch",
+    _AT + r"expected an atom, found '.+'",
+    _AT + r"unknown relation '.+'",
+    _AT + r"relation '.+' has arity \d+, got \d+ arguments",
+    _AT + r"expected '\(' or '=' after '.+'",
+    _AT + r"expected a term, found '.+'",
+)
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    sep = lambda: rng.choice(_SEPS)
+    printed = format_formula(random_formula(rng, _FUZZ, rng.randint(0, 4), ("x",)))
+    kind = rng.randrange(20)
+    if kind < 6:  # token soup
+        return "".join(rng.choice(_TOKENS) + sep() for _ in range(rng.randint(0, 12)))
+    if kind < 15:  # a printed formula with a few edits
+        text = printed
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(text))
+            cut = rng.choice((0, 0, 1, rng.randint(1, 6), len(text)))
+            text = text[:i] + rng.choice(("",) + _TOKENS) + sep() + text[i + cut:]
+        return text
+    if kind < 17:  # about MAX_DEPTH negations or parentheses
+        k = rng.randint(95, 105)
+        opens = "".join(rng.choice(("~", "(", "~(")) for _ in range(k))
+        return opens + printed + ")" * (opens.count("(") - rng.randint(0, 1))
+    if kind == 17:  # a long chain of one connective
+        op = rng.choice(("&", "&", "|", "->", "<->"))
+        n = rng.randint(95, 105) if rng.random() < 0.95 else 1500  # past the recursion limit
+        return f" {op} ".join(["x = x"] * n)
+    count = rng.choice(("0", "12", "9" * 4300, "9" * 4301, _HUGE))
+    return rng.choice(("", "R(a,b) & ", "~")) + f"E!{count} x.{sep()}" + printed
+
+
+def _parsed(parse, text: str):
+    try:
+        return parse(text, _FUZZ.signature)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _under_new_positions(text: str, outcome):
+    """The replaced parser's outcome as the current parser reports it: an
+    error past the last token is at ``len(text)``, not -1; a stray character
+    is at its own position, not where the whitespace before it began; and a
+    count int() cannot convert is a `FormulaError` at the count, not a
+    `ValueError`."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    kind, message = outcome
+    if kind is ValueError:
+        count = next(m for m in re.finditer(r"(?<![A-Za-z0-9_])E\s*!\s*([0-9]+)", text)
+                     if len(m.group(1)) > 4300)
+        return FormulaError, (f"at position {count.start(1)}: "
+                              f"count of {len(count.group(1))} digits is too large")
+    at = re.match(r"at position (-?\d+): (.*)", message, re.S)
+    if at:
+        pos, rest = int(at.group(1)), at.group(2)
+        if pos == -1:
+            pos = len(text)
+        elif rest.startswith("unexpected character"):
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
+        message = f"at position {pos}: {rest}"
+    return kind, message
+
+
+def test_parser_matches_the_parser_class_it_replaced():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(20_000):
+        text = _fuzz_text(rng)
+        got = _parsed(parse_formula, text)
+        assert got == _under_new_positions(text, _parsed(slow_parse_formula, text)), repr(text)
+        if isinstance(got, tuple):
+            assert got[0] is FormulaError, got
+            matched = [p for p in _PARSER_ERRORS if re.fullmatch(p, got[1], re.S)]
+            assert len(matched) == 1, got
+            seen.add(matched[0])
+        else:
+            seen.add("ok")
+    assert seen == {"ok", *_PARSER_ERRORS}
 
 
 # -- printing round-trip ---------------------------------------------------------------
