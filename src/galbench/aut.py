@@ -22,9 +22,15 @@ the first leaf of a backtrack over positions 0..n-1 with ascending images,
 so the generators do not depend on the order in which the existence search
 assigns elements.
 
-Pointwise stabilizers, and with them every `Aut(M/A)`, are derived from the
-full group's stabilizer chain rather than re-searched; the two routes agree
-and the test suite cross-checks them.
+`automorphism_group_fixing(M, A)` takes Aut(M/A) from what the structure's
+cache already holds: a pointwise stabilizer closed from a cached Aut(M), or
+else from the cached group of the largest subset of A; with neither, one
+search with A fixed, which builds the chain of Aut(M/A) directly.  The
+routes give the same group, not the same generators.  The two consumers that
+print generators, `aut --fixing` and `relative_restriction` (whose image
+reaches the duality's failure report), always close Aut(M) at `sorted(A)`
+(`_closed_from_aut`), so their bytes do not depend on what was asked
+before.  The test suite cross-checks the routes.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from .structure import Structure
 
 #: Most consistency checks (one candidate image tried for one element) one
 #: automorphism search makes before it stops with `CapError`.  The largest
-#: search in the benchmark makes 2,643.
+#: search in the benchmark makes 2,643, a search for Aut(M); the largest
+#: search with a fixed set makes 580.
 SEARCH_WORK_CAP = 500_000
 
 #: Per element, its (relation index, table, tuple) entries.
@@ -64,14 +71,15 @@ def _stable_colors(M: Structure, fixed: frozenset[int],
 
     Each round signs an element by its color and the sorted (relation index,
     tuple colors) of its tuples, its own positions written as -1, until the
-    number of classes stops growing.  The search only compares colors, and a
+    number of classes stops growing or every element has a class of its own,
+    which no round can split.  The search only compares colors, and a
     coloring every automorphism preserves prunes only maps that no
     automorphism extends, so the generators found do not depend on which
     such coloring is used.
     """
     colors = [e + 1 if e in fixed else 0 for e in range(M.size)]
     count = len(set(colors))
-    while True:
+    while count < M.size:
         sigs = [(colors[e], tuple(sorted(
                     (r, tuple([-1 if x == e else colors[x] for x in t]))
                     for r, _, t in touch[e])))
@@ -79,8 +87,9 @@ def _stable_colors(M: Structure, fixed: frozenset[int],
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         colors = [palette[sig] for sig in sigs]
         if len(palette) == count:
-            return tuple(colors)
+            break
         count = len(palette)
+    return tuple(colors)
 
 
 def _walk(neighbours: Callable[[int], list[int]], n: int,
@@ -254,6 +263,14 @@ def _cache(M: Structure) -> dict:
     return M._caches.setdefault("aut", {})
 
 
+def _sifted(G: PermGroup) -> PermGroup:
+    """G, once each of its generators sifts to the identity through its chain."""
+    if not all(G.contains(g) for g in G.generators):
+        raise InternalCheckError(
+            "an automorphism the search found does not sift through its chain")
+    return G
+
+
 def automorphism_group(M: Structure) -> PermGroup:
     """The group of all bijections of the universe preserving every relation
     table in both directions.
@@ -266,25 +283,54 @@ def automorphism_group(M: Structure) -> PermGroup:
     cache = _cache(M)
     got = cache.get(frozenset())
     if got is None:
-        got = search_automorphism_generators(M)
-        if not all(got.contains(g) for g in got.generators):
-            raise InternalCheckError(
-                "an automorphism the search found does not sift through its chain")
-        cache[frozenset()] = got
+        got = cache[frozenset()] = _sifted(search_automorphism_generators(M))
     return got
 
 
 def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
     """The subgroup of Aut(M) fixing each element of A pointwise; memoized
-    per A, which is checked only when it is not cached yet."""
+    per A, which is checked only when it is not cached yet.
+
+    A new A takes the cheapest route the structure's cache allows.  With A
+    empty it is Aut(M).  If Aut(M) is cached, it is Aut(M)'s pointwise
+    stabilizer of `sorted(A)`, the group `_closed_from_aut` returns.  Else,
+    if the group fixing some nonempty S < A is cached, it is that group's
+    pointwise stabilizer of `sorted(A - S)`, S the largest such set.
+    Otherwise it is one search with A fixed.  The routes give the same
+    group, but not the same generator list, so callers read only what the
+    group is: its order, orbits, fixed points, members and invariant sets.
+    A generator list that a response prints comes from `_closed_from_aut`.
+    """
     A = frozenset(A)
     cache = _cache(M)
     got = cache.get(A)
     if got is None:
+        if not A:
+            return automorphism_group(M)
         M.check_subset(A, "parameter set")
-        got = stabilizer_pointwise(automorphism_group(M), tuple(sorted(A)))
+        full = cache.get(frozenset())
+        if full is not None:
+            got = stabilizer_pointwise(full, tuple(sorted(A)))
+        else:
+            below = [S for S in cache if S < A]
+            if below:
+                S = max(below, key=len)
+                got = stabilizer_pointwise(cache[S], tuple(sorted(A - S)))
+            else:
+                got = _sifted(search_automorphism_generators(M, A))
         cache[A] = got
     return got
+
+
+def _closed_from_aut(M: Structure, A: frozenset[int]) -> PermGroup:
+    """Aut(M/A) closed from Aut(M)'s chain with `sorted(A)` as base prefix,
+    whatever the cache holds.
+
+    Its generator list is the one `aut --fixing` prints and the one
+    `relative_restriction` restricts, so those responses do not depend on
+    which questions came first.
+    """
+    return stabilizer_pointwise(automorphism_group(M), tuple(sorted(A)))
 
 
 def relative_restriction(M: Structure, C: Iterable[int],
@@ -305,7 +351,7 @@ def relative_restriction(M: Structure, C: Iterable[int],
         M.check_subset(C, "top set")
         if not A <= C:
             raise StructureError("base set must be contained in the top set")
-        G = automorphism_group_fixing(M, A)
+        G = _closed_from_aut(M, A)
         try:
             got = restrict_to_invariant_set(G, C)
         except NotInvariantError:

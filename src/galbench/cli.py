@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from . import formula as fm
-from .aut import automorphism_group, automorphism_group_fixing
+from .aut import _closed_from_aut, automorphism_group
 from .corpus import CORPUS, corpus_names, load_corpus
 from .errors import GalbenchError, InternalCheckError
 from .galois import (DEFAULT_MAX_LEN, acl, codes_finite_sets, dcl,
@@ -127,7 +127,7 @@ def _cmd_eval(args, M):
 
 def _cmd_aut(args, M):
     if args.fixing is not None:
-        G = automorphism_group_fixing(M, _parse_set(M, args.fixing))
+        G = _closed_from_aut(M, _parse_set(M, args.fixing))
     else:
         G = automorphism_group(M)
     gens = list(G.generator_strings()) or ["()"]

@@ -610,6 +610,9 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
     intermediates = [frozenset(x for x in range(M.size) if mask >> x & 1)
                      for mask in seen_masks]
     intermediates.sort(key=lambda s: (len(s), sorted(s)))
+    # The set side, Fix(Fix(B)) = B.  The package no longer checks it, since
+    # Fix∘Aut∘Fix = Fix makes it hold for every intermediate set; this
+    # branch stays as the independent check of that theorem.
     for B in intermediates:
         if not B <= C:
             raise InternalCheckError("an intermediate closure escapes the top set")

@@ -72,6 +72,30 @@ def test_fixing_nothing_on_a_fresh_structure_closes_nothing(monkeypatch):
     assert G is automorphism_group(M) and G.order == 8
 
 
+def test_dcl_and_orbit_on_a_fresh_structure_search_once_and_close_nothing(monkeypatch):
+    """Aut(M/A) of a structure met for the first time is one search with A
+    fixed: no search for Aut(M) and no closure after it."""
+    from galbench.galois import dcl, orbit_over
+
+    searches, closures = [], []
+
+    def counted_search(M, fixed=()):
+        searches.append(frozenset(fixed))
+        return search_automorphism_generators(M, fixed)
+
+    def closed(*args, **kwargs):
+        closures.append(args)
+        return close_group(*args, **kwargs)
+
+    monkeypatch.setattr(aut, "search_automorphism_generators", counted_search)
+    monkeypatch.setattr(perm, "close_group", closed)
+    for name in ("EX_RS", "GF16"):
+        for ask in (lambda M: dcl(M, {0, 1}), lambda M: orbit_over(M, (2,), {0, 1})):
+            searches.clear()
+            ask(load_structure(CORPUS[name].source))
+            assert searches == [frozenset({0, 1})] and closures == []
+
+
 def test_a_generator_that_does_not_sift_raises(monkeypatch):
     """A chain whose transversal misses a generator's image is caught
     before it is cached."""
@@ -427,3 +451,66 @@ def test_search_matches_oracle_on_random_structures():
 def test_search_matches_oracle_on_labelled_graphs(name, labelling):
     assert_search_matches_oracle(
         load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)))
+
+
+# -- Aut(M/A) by each route the cache allows --------------------------------------
+
+
+def route_sets(M):
+    """Three seeded sets of one to three elements."""
+    rng = random.Random(f"routes {M.name}")
+    return [frozenset(rng.sample(range(M.size), rng.randint(1, min(3, M.size))))
+            for _ in range(3)]
+
+
+def assert_routes_agree(M):
+    """Aut(M/A) searched with A fixed on a fresh structure, closed from a
+    cached Aut(M), and closed from the cached group of a nonempty proper
+    subset of A: one group, with the same fixed points and point orbits."""
+    rng = random.Random(f"subsets {M.name}")
+    for A in route_sets(M):
+        M._caches.clear()
+        searched_group = automorphism_group_fixing(M, A)
+        assert chain(searched_group) == chain(search_automorphism_generators(M, A))
+        M._caches.clear()
+        full = automorphism_group(M)
+        closed = automorphism_group_fixing(M, A)
+        assert closed is stabilizer_pointwise(full, tuple(sorted(A)))
+        groups = [searched_group]
+        if len(A) > 1:
+            M._caches.clear()
+            S = frozenset(rng.sample(sorted(A), rng.randint(1, len(A) - 1)))
+            below = automorphism_group_fixing(M, S)
+            via_subset = automorphism_group_fixing(M, A)
+            assert via_subset is stabilizer_pointwise(below, tuple(sorted(A - S)))
+            groups.append(via_subset)
+        for G in groups:
+            assert G.equals(closed) and closed.equals(G)
+            assert G.fixed_points() == closed.fixed_points()
+            assert G.point_orbits() == closed.point_orbits()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_routes_agree_on_the_corpus(name):
+    assert_routes_agree(load_structure(CORPUS[name].source))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_routes_agree_on_generated_families(name):
+    assert_routes_agree(GENERATED[name]())
+
+
+@pytest.mark.parametrize("labelling", LABELLINGS)
+@pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
+def test_routes_agree_on_labelled_graphs(name, labelling):
+    assert_routes_agree(
+        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)))
+
+
+def test_routes_agree_on_random_structures():
+    """The 300 structures of the coloring test above."""
+    rng = random.Random(23)
+    for trial in range(300):
+        M = random_structure(rng, f"Z{trial}", 8)
+        rng.sample(range(M.size), rng.randint(0, M.size))  # that test's fixed set
+        assert_routes_agree(M)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from galbench import cli
+from galbench import cli, corpus
 from galbench.cli import main, run_command
 from galbench.corpus import CORPUS
 
@@ -168,6 +168,65 @@ def test_byte_determinism():
         first = run(list(argv))
         second = run(list(argv))
         assert first == second
+
+
+# -- responses do not depend on what the process was asked before ----------------
+
+# K3,3, as a corpus entry in the tests below, so that its groups stay cached
+# between requests.  `aut --fixing v4` and `galois --base v4` print generators
+# that differ between Aut(M/{v4}) searched with v4 fixed and Aut(M/{v4})
+# closed from Aut(M).
+K33_SOURCE = """structure K3_3 {
+  universe = { v0, v1, v2, v3, v4, v5 }
+  rel adj/2 = { (v0, v3), (v0, v4), (v0, v5), (v1, v3), (v1, v4), (v1, v5),
+                (v2, v3), (v2, v4), (v2, v5), (v3, v0), (v3, v1), (v3, v2),
+                (v4, v0), (v4, v1), (v4, v2), (v5, v0), (v5, v1), (v5, v2) }
+}
+"""
+
+
+def after(first, argv):
+    """The response to argv, with the corpus loaded afresh and `first`
+    answered before it."""
+    corpus._loaded.clear()
+    if first:
+        run(first)
+    return run(argv)
+
+
+@pytest.mark.parametrize("first", [["dcl", "corpus:GF16", "--set", "0,1"],
+                                   ["orbit", "corpus:GF16", "--tuple", "w", "--base", "0,1"],
+                                   ["dcl", "corpus:GF16", "--set", "0"]])
+def test_aut_fixing_matches_its_golden_after_any_question(first, monkeypatch):
+    monkeypatch.setattr(corpus, "_loaded", {})
+    golden = Path(__file__).parent / "golden" / "aut-GF16-fixing-json.out"
+    assert after(first, ["aut", "corpus:GF16", "--fixing", "0,1", "--format", "json"]) \
+        == (0, golden.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["aut", "corpus:K3_3", "--fixing", "v4"], 0, "generators: "),
+    (["aut", "corpus:K3_3", "--fixing", "v0,v4"], 0, "generators: "),
+    (["galois", "corpus:K3_3", "--base", "v4", "--top", "ALL"], 1, "failure [subgroup]"),
+    (["galois", "corpus:K3_3", "--base", "v0,v4", "--top", "ALL", "--format", "json"], 1,
+     '"kind": "subgroup"'),
+], ids=["aut-v4", "aut-v0-v4", "galois-v4", "galois-v0-v4-json"])
+def test_responses_do_not_depend_on_request_history(argv, code, shown, monkeypatch):
+    """The same bytes asked first, after `aut` (Aut(M) cached), and after a
+    `dcl` or `orbit` that searched Aut(M/A) with A fixed.  The galois
+    reports list failures, whose closures print the relative group's
+    generators."""
+    monkeypatch.setattr(corpus, "_loaded", {})
+    monkeypatch.setitem(CORPUS, "K3_3", corpus.CorpusEntry("K3_3", K33_SOURCE, "K3,3"))
+    base = argv[3]
+    answers = [after(first, argv) for first in (
+        None,
+        ["aut", "corpus:K3_3"],
+        ["dcl", "corpus:K3_3", "--set", base],
+        ["orbit", "corpus:K3_3", "--tuple", "v1", "--base", base],
+    )]
+    assert answers[0][0] == code and shown in answers[0][1]
+    assert all(a == answers[0] for a in answers)
 
 
 @pytest.mark.parametrize("argv", [
