@@ -23,8 +23,9 @@ so the generators do not depend on the order in which the existence search
 assigns elements.
 
 `automorphism_group_fixing(M, A)` takes Aut(M/A) from what the structure's
-cache already holds: a pointwise stabilizer closed from a cached Aut(M), or
-else from the cached group of the largest subset of A; with neither, one
+cache already holds: a cached Aut(M), or else the cached group of the
+largest subset of A, whose chain is base-changed to start with A
+(`perm.stabilizer_by_base_change`), so no closure runs; with neither, one
 search with A fixed, which builds the chain of Aut(M/A) directly.  The
 routes give the same group, not the same generators.  The two consumers that
 print generators, `aut --fixing` and `relative_restriction` (whose image
@@ -40,7 +41,8 @@ from typing import Callable, Iterable
 
 from .errors import CapError, InternalCheckError, NotInvariantError, StructureError
 from .perm import (Perm, PermGroup, Restriction, _transversal,
-                   restrict_to_invariant_set, stabilizer_pointwise)
+                   restrict_to_invariant_set, stabilizer_by_base_change,
+                   stabilizer_pointwise)
 from .structure import Structure
 
 
@@ -292,14 +294,13 @@ def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
     per A, which is checked only when it is not cached yet.
 
     A new A takes the cheapest route the structure's cache allows.  With A
-    empty it is Aut(M).  If Aut(M) is cached, it is Aut(M)'s pointwise
-    stabilizer of `sorted(A)`, the group `_closed_from_aut` returns.  Else,
-    if the group fixing some nonempty S < A is cached, it is that group's
-    pointwise stabilizer of `sorted(A - S)`, S the largest such set.
-    Otherwise it is one search with A fixed.  The routes give the same
-    group, but not the same generator list, so callers read only what the
-    group is: its order, orbits, fixed points, members and invariant sets.
-    A generator list that a response prints comes from `_closed_from_aut`.
+    empty it is Aut(M).  If Aut(M) is cached, or else the group fixing some
+    nonempty S < A, it is read off that group's chain by base change, S the
+    largest such set.  Otherwise it is one search with A fixed.  The routes
+    give the same group as `_closed_from_aut`, but not the same generator
+    list, so callers read only what the group is: its order, orbits, fixed
+    points, members and invariant sets.  A generator list that a response
+    prints comes from `_closed_from_aut`.
     """
     A = frozenset(A)
     cache = _cache(M)
@@ -308,16 +309,13 @@ def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
         if not A:
             return automorphism_group(M)
         M.check_subset(A, "parameter set")
-        full = cache.get(frozenset())
-        if full is not None:
-            got = stabilizer_pointwise(full, tuple(sorted(A)))
+        # A cached Aut(M) is taken at once, without scanning the cache, which
+        # grows with every set asked about.
+        below = [frozenset()] if frozenset() in cache else [S for S in cache if S < A]
+        if below:
+            got = stabilizer_by_base_change(cache[max(below, key=len)], A)
         else:
-            below = [S for S in cache if S < A]
-            if below:
-                S = max(below, key=len)
-                got = stabilizer_pointwise(cache[S], tuple(sorted(A - S)))
-            else:
-                got = _sifted(search_automorphism_generators(M, A))
+            got = _sifted(search_automorphism_generators(M, A))
         cache[A] = got
     return got
 

@@ -6,6 +6,12 @@ written as comma-separated names, with the empty string for the empty set and
 the literal ``ALL`` for the whole universe; sets of tuples separate tuples
 with semicolons (``"a,b;c,d"`` is the two-pair set).
 
+A file whose text equals the text of the last file loaded gets the same
+`Structure`, with the automorphism groups it has cached, so a file asked
+about twice in a row is parsed and searched once.  The one kept structure
+is keyed on the text, never the path, and replaced by the next text that
+differs; a text that fails to load is not kept.
+
 Every command takes ``--format text|json`` (default text).  ``--max-len N``
 (default 3, the bound of generator, code and witness searches) is taken by
 degree, splitting, generator, code, codes-report, galois, tower and verify;
@@ -66,6 +72,14 @@ def _load_target(spec: str) -> Structure:
     except OSError as exc:
         raise _UsageError(f"cannot read structure file {spec!r}: "
                           f"{exc.strerror or exc}") from None
+    return _structure_of(text)
+
+
+@functools.lru_cache(maxsize=1)
+def _structure_of(text: str) -> Structure:
+    """The structure a file's text describes, kept for the next request:
+    one entry, keyed on the text and never on the path, replaced by the next
+    text that differs.  A text that fails to load is not kept."""
     return load_structure(text)
 
 

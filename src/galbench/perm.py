@@ -11,7 +11,9 @@ produce identical chains, generator lists, and reports.
 A closure told the group's order stops sifting once the chain reaches it;
 `close_group`'s docstring gives the argument.  The automorphism search
 builds its chain without any closure, with the same transversal builder,
-`_transversal`.
+`_transversal`, and `stabilizer_by_base_change` reads a pointwise
+stabilizer off a finished chain by conjugating and swapping its levels, so
+no closure runs there either.
 
 A group's generators and chain never change once closed; membership tests
 and queries only read them.  Derived facts are memoized in place: each group
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, GroupError, InternalCheckError, NotInvariantError
@@ -167,22 +170,29 @@ def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
 
     Returns the residue and the level where stripping stopped (`len(base)`
     when it ran through); g is in the group iff the residue is the identity.
+
+    The strip runs on h = g^-1, which loses its transversal element by a
+    right multiplication, h * u = (u^-1 * g)^-1, and reads g(b) as the
+    position of b in h; so no level inverts, and the residue is inverted
+    once, at the end.
     """
+    h = g.inverse()
     i = start
     while i < len(base):
-        u = trans[i].get(g[base[i]])
+        u = trans[i].get(h.index(base[i]))
         if u is None:
-            return g, i
-        g = u.inverse() * g
+            break
+        h = h * u
         i += 1
-    return g, i
+    return h.inverse(), i
 
 
 class PermGroup:
     """A permutation group represented by a completed stabilizer chain.
 
     Construct through `close_group`, a sub-chain of one from some level on
-    (as `stabilizer_pointwise` does), or the automorphism search; the
+    (as `stabilizer_pointwise` does), a base change of one
+    (`stabilizer_by_base_change`), or the automorphism search; the
     constructor trusts its arguments.
     """
 
@@ -486,6 +496,105 @@ def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
         got = memo[key] = PermGroup(G.degree, tuple(gens), chain.base[k:],
                                     chain._levels[k:], trans, prod(map(len, trans)))
     return got
+
+
+def stabilizer_by_base_change(G: PermGroup, points: Iterable[int]) -> PermGroup:
+    """The subgroup of G fixing every point of the set, read off G's chain.
+
+    Deterministic base change (Seress, *Permutation Group Algorithms*,
+    2003, §5.4; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, §4.4.7): the points G moves go to the front of a copy of
+    G's chain, ascending, one level j per point a.  Let m be the first
+    level from j on whose orbit holds a.  Levels m.. are conjugated by the
+    transversal element that maps b_m to a, so that a is b_m; with no such
+    level, a is inserted as a one-point level below the deepest level that
+    moves it, as m.  Then a is swapped up from level m to level j
+    (`_swap_levels`); with m = j there is nothing to swap.  The
+    stabilizer is the chain from the first level after those points on,
+    its one-point levels dropped, and no closure runs.  Its generators are
+    that level's, not `stabilizer_pointwise`'s, so callers read only the
+    group it is.  Nothing is kept in G.
+    """
+    points = set(points)
+    _check_entries(G, points)
+    key = sorted(points - G.fixed_points())
+    if not key:
+        return G
+    ident = Perm.identity(G.degree)
+    base, levels, trans = list(G.base), list(G._levels), list(G._trans)
+    for j, a in enumerate(key):
+        m = j
+        while m < len(base) and a not in trans[m] and any(g[a] != a for g in levels[m]):
+            m += 1
+        if m < len(base) and a in trans[m]:
+            if a != base[m]:
+                _conjugate_levels(base, levels, trans, m, trans[m][a])
+        else:
+            base.insert(m, a)
+            levels.insert(m, levels[m] if m < len(levels) else ())
+            trans.insert(m, {a: ident})
+        for i in reversed(range(j, m)):
+            _swap_levels(base, levels, trans, i, ident)
+    k = len(key)
+    kept = [i for i in range(k, len(base)) if len(trans[i]) > 1]
+    gens = tuple(dict.fromkeys(levels[k])) if kept else ()
+    sub = [trans[i] for i in kept]
+    return PermGroup(G.degree, gens, tuple(base[i] for i in kept),
+                     tuple(tuple(levels[i]) for i in kept), tuple(sub),
+                     prod(map(len, sub)))
+
+
+def _conjugate_levels(base: list[int], levels: list, trans: list, j: int,
+                      u: Perm) -> None:
+    """Conjugate levels j.. by u, an element of level j's group: each base
+    point b becomes u(b), each element g becomes u * g * u^-1.  u moves a
+    point, so the degree is at least 2 and each `itemgetter` gives a tuple."""
+    pick = itemgetter(*u.inverse())
+
+    def conj(g: Perm) -> Perm:
+        return _trusted(itemgetter(*pick(g))(u))
+
+    for m in range(j, len(base)):
+        base[m] = u[base[m]]
+        levels[m] = [conj(g) for g in levels[m]]
+        trans[m] = {u[p]: conj(v) for p, v in trans[m].items()}
+
+
+def _swap_levels(base: list[int], levels: list, trans: list, i: int,
+                 ident: Perm) -> None:
+    """Swap base points β = b_i and γ = b_{i+1} in place.
+
+    The new level i is level i's group with base point γ.  The new level
+    i+1 is the stabilizer of γ in level i's group; its orbit of β has
+    |Δ_i|·|Δ_{i+1}| / |γ^{G^(i)}| points.  It grows from level i+2's
+    generators: for each y of level i's orbit, ascending, that it has not
+    reached, u_y·v is added when v ∈ T_{i+1} maps γ to u_y⁻¹(γ), the one
+    coset u_y·G^(i+1) that can map β to y while fixing γ.  An orbit that
+    stops short of its size raises `InternalCheckError`.
+    """
+    beta, gamma = base[i], base[i + 1]
+    upper, lower = trans[i], trans[i + 1]
+    top = _transversal(gamma, levels[i], ident)
+    size = len(upper) * len(lower) // len(top)
+    gens = list(levels[i + 2]) if i + 2 < len(base) else []
+    below = _transversal(beta, gens, ident)
+    for y in sorted(upper):
+        if len(below) == size:
+            break
+        if y in below:
+            continue
+        u = upper[y]
+        v = lower.get(u.index(gamma))
+        if v is not None:
+            gens.append(u * v)
+            below = _transversal(beta, gens, ident)
+    if len(below) != size:
+        raise InternalCheckError(
+            f"base change: the orbit of {beta} below {gamma} has {len(below)} "
+            f"points, not {size}")
+    base[i], base[i + 1] = gamma, beta
+    levels[i + 1] = gens
+    trans[i], trans[i + 1] = top, below
 
 
 # -- element tables and the subgroup lattice --------------------------------------

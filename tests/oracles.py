@@ -8,7 +8,8 @@ The slow paths that faster package code replaced (the subgroup lattice as
 joins of Perm sets, the stabilizer closed twice, the duality check and code
 searches as loops over element lists, normality as an orbit search per
 element, the antitone law on closed subgroups, splitting as a tuple-orbit
-search per candidate, the element list as Perm products,
+search per candidate, the element list as Perm products, the sift that
+inverts each level's transversal element,
 the structure parser built on token objects, the formula parser built as a
 class, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
@@ -311,6 +312,20 @@ def slow_elements(G) -> list[Perm]:
         elems = layer
     elems.sort()
     return elems
+
+
+def textbook_sift(base, trans, g: Perm, start: int = 0) -> tuple[Perm, int]:
+    """Strip g down a stabilizer chain from level `start`, inverting each
+    level's transversal element: g <- u^-1 * g while g(b_i) is in level i's
+    orbit.  Returns the residue and the level where stripping stopped."""
+    i = start
+    while i < len(base):
+        u = trans[i].get(g[base[i]])
+        if u is None:
+            return g, i
+        g = u.inverse() * g
+        i += 1
+    return g, i
 
 
 def naive_closure(perms, degree) -> set[Perm]:

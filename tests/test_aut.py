@@ -1,4 +1,6 @@
+import io
 import random
+import time
 from math import prod
 
 import pytest
@@ -10,7 +12,8 @@ from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_aut, relative_restriction,
                           search_automorphism_generators)
 from galbench.errors import InternalCheckError, NotInvariantError, StructureError
-from galbench.perm import Perm, PermGroup, close_group, stabilizer_pointwise
+from galbench.perm import (Perm, PermGroup, close_group, stabilizer_by_base_change,
+                           stabilizer_pointwise)
 from galbench.structure import load_structure
 
 from oracles import (brute_automorphisms, frobenius_perm, naive_closure,
@@ -58,14 +61,8 @@ def test_fixing_examples(ex_rs):
 
 def test_fixing_nothing_on_a_fresh_structure_closes_nothing(monkeypatch):
     """Aut(M) is the search's own chain: no closure runs for it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_group(*args, **kwargs)
-
     assert not hasattr(aut, "close_group")
-    monkeypatch.setattr(perm, "close_group", counted)
+    calls = counting_closures(monkeypatch)
     M = load_structure(CORPUS["EX_RS"].source)
     G = automorphism_group_fixing(M, frozenset())
     assert calls == []
@@ -77,18 +74,14 @@ def test_dcl_and_orbit_on_a_fresh_structure_search_once_and_close_nothing(monkey
     fixed: no search for Aut(M) and no closure after it."""
     from galbench.galois import dcl, orbit_over
 
-    searches, closures = [], []
+    searches = []
 
     def counted_search(M, fixed=()):
         searches.append(frozenset(fixed))
         return search_automorphism_generators(M, fixed)
 
-    def closed(*args, **kwargs):
-        closures.append(args)
-        return close_group(*args, **kwargs)
-
     monkeypatch.setattr(aut, "search_automorphism_generators", counted_search)
-    monkeypatch.setattr(perm, "close_group", closed)
+    closures = counting_closures(monkeypatch)
     for name in ("EX_RS", "GF16"):
         for ask in (lambda M: dcl(M, {0, 1}), lambda M: orbit_over(M, (2,), {0, 1})):
             searches.clear()
@@ -463,10 +456,39 @@ def route_sets(M):
             for _ in range(3)]
 
 
-def assert_routes_agree(M):
-    """Aut(M/A) searched with A fixed on a fresh structure, closed from a
-    cached Aut(M), and closed from the cached group of a nonempty proper
-    subset of A: one group, with the same fixed points and point orbits."""
+def assert_chain_levels_lie_in(H, G):
+    """Each level of H's chain: every transversal element lies in G, maps
+    its base point to its key and fixes the earlier base points; each
+    level's generators fix the earlier base points; the order is the
+    product of the transversal sizes."""
+    for i, point in enumerate(H.base):
+        earlier = H.base[:i]
+        for key, u in H._trans[i].items():
+            assert G.contains(u)
+            assert u[point] == key and all(u[b] == b for b in earlier)
+        assert all(s[b] == b for s in H._levels[i] for b in earlier)
+    assert H.order == prod(map(len, H._trans))
+
+
+def counting_closures(monkeypatch):
+    """The arguments of every `close_group` call from now on."""
+    closures = []
+
+    def counted(*args, **kwargs):
+        closures.append(args)
+        return close_group(*args, **kwargs)
+
+    monkeypatch.setattr(perm, "close_group", counted)
+    return closures
+
+
+def assert_routes_agree(M, monkeypatch):
+    """Aut(M/A) searched with A fixed on a fresh structure, read off a
+    cached Aut(M) by base change, and read off the cached group of a
+    nonempty proper subset of A: the cached-group routes run no closure,
+    and every route gives the group the closure of Aut(M) at `sorted(A)`
+    gives, both ways, with the same fixed points and point orbits."""
+    closures = counting_closures(monkeypatch)
     rng = random.Random(f"subsets {M.name}")
     for A in route_sets(M):
         M._caches.clear()
@@ -474,43 +496,145 @@ def assert_routes_agree(M):
         assert chain(searched_group) == chain(search_automorphism_generators(M, A))
         M._caches.clear()
         full = automorphism_group(M)
-        closed = automorphism_group_fixing(M, A)
-        assert closed is stabilizer_pointwise(full, tuple(sorted(A)))
-        groups = [searched_group]
+        closures.clear()
+        via_full = automorphism_group_fixing(M, A)
+        assert closures == []
+        closed = stabilizer_pointwise(full, tuple(sorted(A)))
+        groups = [searched_group, via_full]
         if len(A) > 1:
             M._caches.clear()
             S = frozenset(rng.sample(sorted(A), rng.randint(1, len(A) - 1)))
-            below = automorphism_group_fixing(M, S)
+            automorphism_group_fixing(M, S)
+            closures.clear()
             via_subset = automorphism_group_fixing(M, A)
-            assert via_subset is stabilizer_pointwise(below, tuple(sorted(A - S)))
+            assert closures == []
             groups.append(via_subset)
         for G in groups:
             assert G.equals(closed) and closed.equals(G)
             assert G.fixed_points() == closed.fixed_points()
             assert G.point_orbits() == closed.point_orbits()
+        for G in groups[1:]:
+            assert_chain_levels_lie_in(G, closed)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_routes_agree_on_the_corpus(name):
-    assert_routes_agree(load_structure(CORPUS[name].source))
+def test_routes_agree_on_the_corpus(name, monkeypatch):
+    assert_routes_agree(load_structure(CORPUS[name].source), monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
-def test_routes_agree_on_generated_families(name):
-    assert_routes_agree(GENERATED[name]())
+def test_routes_agree_on_generated_families(name, monkeypatch):
+    assert_routes_agree(GENERATED[name](), monkeypatch)
 
 
 @pytest.mark.parametrize("labelling", LABELLINGS)
 @pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
-def test_routes_agree_on_labelled_graphs(name, labelling):
+def test_routes_agree_on_labelled_graphs(name, labelling, monkeypatch):
     assert_routes_agree(
-        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)))
+        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)),
+        monkeypatch)
 
 
-def test_routes_agree_on_random_structures():
+def test_routes_agree_on_random_structures(monkeypatch):
     """The 300 structures of the coloring test above."""
     rng = random.Random(23)
     for trial in range(300):
         M = random_structure(rng, f"Z{trial}", 8)
         rng.sample(range(M.size), rng.randint(0, M.size))  # that test's fixed set
-        assert_routes_agree(M)
+        assert_routes_agree(M, monkeypatch)
+
+
+# -- base change on the 16-element structures --------------------------------------
+
+
+def sixteen_point_text(name, relations):
+    """Structure text on p0..p15; `relations` maps a name to (arity, tuples)."""
+    lines = [f"structure {name} {{",
+             "  universe = { " + ", ".join(f"p{i}" for i in range(16)) + " }"]
+    for rel, (arity, tuples) in relations.items():
+        body = ", ".join("(" + ", ".join(f"p{x}" for x in t) + ")" for t in sorted(tuples))
+        lines.append(f"  rel {rel}/{arity} = {{ {body} }}")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def undirected(edges):
+    return {"E": (2, {(a, b) for a, b in edges} | {(b, a) for a, b in edges})}
+
+
+def pairs_where(joined):
+    return [(a, b) for a in range(16) for b in range(a + 1, 16) if joined(a, b)]
+
+
+#: The seven 16-element structures of the ROADMAP's totality run.
+SIXTEEN = {
+    "FREE16": {"P": (1, {(0,)})},
+    "K4x4": undirected(pairs_where(lambda a, b: a // 4 == b // 4)),
+    "K2x8": undirected(pairs_where(lambda a, b: a // 2 == b // 2)),
+    "K8x2": undirected(pairs_where(lambda a, b: a // 8 == b // 8)),
+    "K8_8": undirected(pairs_where(lambda a, b: a // 8 != b // 8)),
+    "Q4": undirected(pairs_where(lambda a, b: (a ^ b).bit_count() == 1)),
+    "SPLIT8_8": {"P": (1, {(i,) for i in range(8)})},
+}
+
+
+@pytest.mark.parametrize("name, A", [
+    ("K8_8", {0, 8}), ("K8_8", {3, 12}), ("K8_8", {7, 9, 14}),
+    ("K8x2", {0, 8}), ("K8x2", {5, 10}),
+    ("K4x4", {0, 4}), ("K4x4", {1, 6, 11}),
+    ("SPLIT8_8", {8}), ("SPLIT8_8", {3, 12}),
+])
+def test_base_change_swaps_where_a_point_is_not_a_base_image(name, A, monkeypatch):
+    """A point outside its level's orbit is swapped up: the swap runs, no
+    closure runs, and the chain read off is the closure's group."""
+    M = load_structure(sixteen_point_text(name, SIXTEEN[name]))
+    full = automorphism_group(M)
+    swaps = []
+
+    def counted(*args):
+        swaps.append(args[-2])
+        return swap(*args)
+
+    swap = perm._swap_levels
+    monkeypatch.setattr(perm, "_swap_levels", counted)
+    closures = counting_closures(monkeypatch)
+    got = automorphism_group_fixing(M, frozenset(A))
+    assert swaps and closures == []
+    closed = stabilizer_pointwise(full, tuple(sorted(A)))
+    assert got.equals(closed) and closed.equals(got)
+    assert got.fixed_points() == closed.fixed_points()
+    assert got.point_orbits() == closed.point_orbits()
+    assert_chain_levels_lie_in(got, closed)
+
+
+def test_a_swap_whose_orbit_stops_short_raises():
+    """Fixing p8 in the 8 + 8 split swaps p8 up past p6, whose level's
+    orbit {p6, p7} is given a bogus third point: the orbit below p8 cannot
+    reach the size the transversals promise."""
+    G = automorphism_group(load_structure(sixteen_point_text("SPLIT8_8", SIXTEEN["SPLIT8_8"])))
+    i = G.base.index(6)
+    assert sorted(G._trans[i]) == [6, 7]
+    bogus = {**G._trans[i], 9: G._trans[i][7]}
+    trans = G._trans[:i] + (bogus,) + G._trans[i + 1:]
+    H = PermGroup(G.degree, G.generators, G.base, G._levels, trans, G.order)
+    with pytest.raises(InternalCheckError, match="base change: the orbit of 6 below 8"):
+        stabilizer_by_base_change(H, {8})
+
+
+@pytest.mark.parametrize("name", sorted(SIXTEEN))
+def test_follow_up_questions_after_aut_answer_within_a_second(name, tmp_path):
+    """`aut`, then `dcl` and `orbit` on seeded sets of one to three elements
+    of the same file: each follow-up is read off the kept Aut(M)."""
+    from galbench.cli import run_command
+
+    path = tmp_path / "structure.txt"
+    path.write_text(sixteen_point_text(name, SIXTEEN[name]), encoding="utf-8")
+    assert run_command(["aut", str(path)], out=io.StringIO()) == 0
+    rng = random.Random(f"follow-up {name}")
+    for _ in range(4):
+        names = ",".join(f"p{x}" for x in rng.sample(range(16), rng.randint(1, 3)))
+        x = f"p{rng.randrange(16)}"
+        for argv in (["dcl", str(path), "--set", names],
+                     ["orbit", str(path), "--tuple", x, "--base", names]):
+            start = time.perf_counter()
+            assert run_command(argv, out=io.StringIO()) == 0
+            assert time.perf_counter() - start < 1.0, argv

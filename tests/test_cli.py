@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from galbench import cli, corpus
 from galbench.cli import main, run_command
 from galbench.corpus import CORPUS
+from galbench.structure import load_structure
 
 
 def run(argv):
@@ -226,6 +227,106 @@ def test_responses_do_not_depend_on_request_history(argv, code, shown, monkeypat
         ["orbit", "corpus:K3_3", "--tuple", "v1", "--base", base],
     )]
     assert answers[0][0] == code and shown in answers[0][1]
+    assert all(a == answers[0] for a in answers)
+
+
+# -- a file named again is not parsed again -----------------------------------------
+
+
+def counting_loads(monkeypatch):
+    """The texts `load_structure` parses from now on, the memo emptied first."""
+    loads = []
+
+    def counted(text):
+        loads.append(text)
+        return load_structure(text)
+
+    monkeypatch.setattr(cli, "load_structure", counted)
+    cli._structure_of.cache_clear()
+    return loads
+
+
+FORK_TEXT = """structure T {
+  universe = { a, b, c }
+  rel R/2 = { (a, b), (a, c) }
+}
+"""
+
+
+def test_a_file_changed_under_the_same_path_is_parsed_again(tmp_path, monkeypatch):
+    loads = counting_loads(monkeypatch)
+    path = tmp_path / "t.txt"
+    path.write_text(FORK_TEXT, encoding="utf-8")
+    assert run(["aut", str(path)])[0] == 0
+    assert run(["dcl", str(path), "--set", "a"]) == (0, "{a}\n")
+    path.write_text(FORK_TEXT.replace("(a, c)", "(b, c)"), encoding="utf-8")
+    assert run(["dcl", str(path), "--set", "a"]) == (0, "{a, b, c}\n")
+    assert len(loads) == 2
+
+
+def test_identical_text_under_two_paths_is_parsed_once(tmp_path, monkeypatch):
+    loads = counting_loads(monkeypatch)
+    first, second = tmp_path / "one.txt", tmp_path / "two.txt"
+    for path in (first, second):
+        path.write_text(FORK_TEXT, encoding="utf-8")
+    assert run(["aut", str(first)]) == run(["aut", str(second)])
+    assert loads == [FORK_TEXT]
+    assert cli._load_target(str(first)) is cli._load_target(str(second))
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"structure S { universe = { a, } }\n", "line 1, column 31: expected an element name"),
+    (b"structure S { universe = { a } }\n\xff\xfe", "not valid UTF-8"),
+    (("structure S { universe = { "
+      + ", ".join(f"e{i}" for i in range(17)) + " } }\n").encode(),
+     "universe has 17 elements; cap is 16"),
+], ids=["syntax", "utf-8", "universe-cap"])
+def test_a_file_that_fails_to_load_is_not_kept(data, message, tmp_path, monkeypatch,
+                                               capsys):
+    """It fails again with the same message, parsed again if it was parsed
+    at all, and the structure kept before it stays kept."""
+    loads = counting_loads(monkeypatch)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(FORK_TEXT, encoding="utf-8")
+    bad.write_bytes(data)
+    assert run(["aut", str(good)])[0] == 0
+    errors = []
+    for _ in range(2):
+        assert run(["aut", str(bad)]) == (2, "")
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and message in errors[0]
+    parsed = [] if message == "not valid UTF-8" else [data.decode()] * 2
+    assert loads == [FORK_TEXT] + parsed
+    assert run(["aut", str(good)])[0] == 0
+    assert loads == [FORK_TEXT] + parsed
+
+
+K33_FILE_QUESTIONS = [
+    ["aut", "FILE"],
+    ["dcl", "FILE", "--set", "v4"],
+    ["orbit", "FILE", "--tuple", "v1", "--base", "v4"],
+    ["aut", "FILE", "--fixing", "v4"],
+    ["galois", "FILE", "--base", "v4", "--top", "ALL"],
+]
+
+
+@pytest.mark.parametrize("argv", K33_FILE_QUESTIONS, ids=lambda argv: "-".join(argv[::2]))
+def test_a_kept_file_answers_as_when_asked_first(argv, tmp_path):
+    """The K3,3 check above, on a file: each question answers the same bytes
+    when asked first and after any other question about the same text."""
+    path = tmp_path / "k33.txt"
+    path.write_text(K33_SOURCE, encoding="utf-8")
+
+    def ask(question):
+        return run([str(path) if a == "FILE" else a for a in question])
+
+    answers = []
+    for first in [None] + K33_FILE_QUESTIONS:
+        cli._structure_of.cache_clear()
+        if first:
+            ask(first)
+        answers.append(ask(argv))
+    assert answers[0][0] in (0, 1) and answers[0][1]
     assert all(a == answers[0] for a in answers)
 
 

@@ -11,7 +11,8 @@ from galbench.errors import CapError, GroupError, InternalCheckError
 from galbench.perm import (Perm, close_group, is_normal_subgroup, orbit,
                            restrict_to_invariant_set, stabilizer_pointwise)
 
-from oracles import all_subgroups, naive_closure, setwise_stabilizer, word_closure
+from oracles import (all_subgroups, naive_closure, setwise_stabilizer, textbook_sift,
+                     word_closure)
 
 
 def cyc(n, *cycles):
@@ -171,6 +172,39 @@ def test_chain_invariants_on_random_closures():
         assert G.base[:len(prefix)] == tuple(prefix)
         assert_chain_invariants(G)
         assert G.order == len(word_closure(gens, degree))
+
+
+# -- the sift ---------------------------------------------------------------------------
+
+
+def test_sift_matches_the_textbook_sift(corpus_structure):
+    """Residue and level agree on the corpus chains, closed afresh and at
+    several base prefixes, for group members, random permutations and
+    products of both, from every starting level."""
+    G = automorphism_group(corpus_structure)
+    n = G.degree
+    rng = random.Random(f"sift {n}")
+    chains = [G, close_group(G.generators, degree=n),
+              close_group(G.generators, degree=n, base_prefix=tuple(range(n - 1, -1, -1)))]
+    members = G.elements()[:50]
+    for H in chains:
+        for _ in range(40):
+            g = Perm(rng.sample(range(n), n))
+            for x in (g, rng.choice(members), g * rng.choice(members)):
+                for start in range(len(H.base) + 1):
+                    assert perm._sift(H.base, H._trans, x, start) == \
+                        textbook_sift(H.base, H._trans, x, start)
+
+
+def test_sift_matches_the_textbook_sift_on_random_closures():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        gens = [Perm(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        G = close_group(gens, degree=n)
+        for _ in range(20):
+            g = Perm(rng.sample(range(n), n))
+            assert perm._sift(G.base, G._trans, g) == textbook_sift(G.base, G._trans, g)
 
 
 # -- closing with a known order ---------------------------------------------------------
