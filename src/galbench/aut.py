@@ -32,6 +32,10 @@ print generators, `aut --fixing` and `relative_restriction` (whose image
 reaches the duality's failure report), always close Aut(M) at `sorted(A)`
 (`_closed_from_aut`), so their bytes do not depend on what was asked
 before.  The test suite cross-checks the routes.
+
+`relative_restriction(M, C, A)` is Aut(C/A), the image of Aut(M/A) on an
+invariant C.  The kernel of that restriction is Aut(M/C), which
+`automorphism_group_fixing` already holds, so only the image is closed.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from math import prod
 from typing import Callable, Iterable
 
 from .errors import CapError, InternalCheckError, NotInvariantError, StructureError
-from .perm import (Perm, PermGroup, Restriction, _transversal,
-                   restrict_to_invariant_set, stabilizer_by_base_change,
-                   stabilizer_pointwise)
+from .perm import (Perm, PermGroup, _transversal, restrict_to_invariant_set,
+                   stabilizer_by_base_change, stabilizer_pointwise)
 from .structure import Structure
 
 
@@ -332,13 +335,16 @@ def _closed_from_aut(M: Structure, A: frozenset[int]) -> PermGroup:
 
 
 def relative_restriction(M: Structure, C: Iterable[int],
-                         A: Iterable[int]) -> Restriction:
-    """Restriction of Aut(M/A) to an invariant C: image, kernel, and the
-    position-to-element map.
+                         A: Iterable[int]) -> PermGroup:
+    """Aut(C/A): restrictions to C of automorphisms fixing A pointwise.
 
-    Memoized per (C, A) in `M._caches`, so the sets and their nesting are
-    checked only for a new pair; a set that is not invariant is rejected
-    afresh on every call.
+    Acts on positions 0..|C|-1, position i standing for the i-th smallest
+    element of C.  C must be setwise invariant under Aut(M/A); if it is not,
+    that is reported, never silently repaired.  The restriction's kernel is
+    Aut(M/C), taken from the cache by `automorphism_group_fixing`, so only
+    the image is closed.  Memoized per (C, A) in `M._caches`, so the sets
+    and their nesting are checked only for a new pair; a set that is not
+    invariant is rejected afresh on every call.
     """
     A = frozenset(A)
     C = frozenset(C)
@@ -351,7 +357,7 @@ def relative_restriction(M: Structure, C: Iterable[int],
             raise StructureError("base set must be contained in the top set")
         G = _closed_from_aut(M, A)
         try:
-            got = restrict_to_invariant_set(G, C)
+            got = restrict_to_invariant_set(G, C, automorphism_group_fixing(M, C))
         except NotInvariantError:
             raise NotInvariantError(
                 f"set {M.render_set(C)} is not a union of orbits over the base; its "
@@ -359,13 +365,3 @@ def relative_restriction(M: Structure, C: Iterable[int],
                 "operation does not materialize") from None
         cache[(C, A)] = got
     return got
-
-
-def relative_aut(M: Structure, C: Iterable[int], A: Iterable[int]) -> PermGroup:
-    """Aut(C/A): restrictions to C of automorphisms fixing A pointwise.
-
-    Acts on positions 0..|C|-1, position i standing for the i-th smallest
-    element of C.  C must be setwise invariant under Aut(M/A); if it is not,
-    that is reported, never silently repaired.
-    """
-    return relative_restriction(M, C, A).image

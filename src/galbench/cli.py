@@ -44,7 +44,7 @@ from .galois import (DEFAULT_MAX_LEN, acl, codes_finite_sets, dcl,
                      is_normal_extension, is_splitting_extension,
                      multisymmetric_code, orbit_over,
                      verify_galois_correspondence, verify_tower)
-from .structure import Structure, load_structure
+from .structure import Structure, is_element_name, load_structure
 from .suite import run_full_verification
 
 EXIT_OK = 0
@@ -133,8 +133,14 @@ def _cmd_eval(args, M):
         for item in args.env.split(","):
             if "=" not in item:
                 raise _UsageError(f"bad assignment entry {item!r}; use var=element")
-            var, name = item.split("=", 1)
-            env[var.strip()] = M.resolve(name.strip())
+            var, name = (part.strip() for part in item.split("=", 1))
+            if not is_element_name(var):
+                raise _UsageError(
+                    f"bad assignment entry {item!r}; {var!r} is not a variable name")
+            if var in env:
+                raise _UsageError(
+                    f"bad assignment entry {item!r}; variable {var} is assigned twice")
+            env[var] = M.resolve(name)
     value = fm.evaluate(M, ast, env)
     return "true" if value else "false", {"value": value}, EXIT_OK
 

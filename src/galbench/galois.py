@@ -31,8 +31,7 @@ from typing import Iterable, Sequence
 
 from . import formula as fm
 from . import perm
-from .aut import (automorphism_group, automorphism_group_fixing, relative_aut,
-                  relative_restriction)
+from .aut import automorphism_group, automorphism_group_fixing, relative_restriction
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, NotInvariantError,
                      StructureError)
@@ -274,7 +273,7 @@ def extension_aut_order(M: Structure, B: Iterable[int], A: Iterable[int],
     A, B = _extension(M, A, B)
     G = automorphism_group_fixing(M, A)
     if _is_invariant(G, B):
-        return relative_restriction(M, B, A).image.order
+        return relative_restriction(M, B, A).order
     gen = find_generator(M, A, B, max_len)
     if gen is None:
         raise InconclusiveError(
@@ -288,10 +287,10 @@ def extension_aut_order(M: Structure, B: Iterable[int], A: Iterable[int],
 def fix_of_subgroup(M: Structure, C: Iterable[int], H: PermGroup) -> frozenset[int]:
     """Elements of C fixed pointwise by every member of H.
 
-    H must act on C via positions in ascending element order (as produced by
-    `relative_aut`).  The result is always definably closed inside C; this is
-    asserted, and a violation means H was not made of restrictions of
-    automorphisms.
+    H must act on C via positions in ascending element order, as Aut(C/A)
+    from `relative_restriction` does.  The result is always definably closed
+    inside C; this is asserted, and a violation means H was not made of
+    restrictions of automorphisms.
     """
     C = M.check_subset(C, "top set")
     points = sorted(C)
@@ -318,7 +317,7 @@ def fix_of_set(M: Structure, C: Iterable[int], A: Iterable[int],
     C = M.check_subset(C, "top set")
     if not (A <= B and B <= C):
         raise StructureError("sets must be nested: base <= fixed <= top")
-    G = relative_aut(M, C, A)
+    G = relative_restriction(M, C, A)
     points = sorted(C)
     positions = tuple(points.index(e) for e in sorted(B))
     return stabilizer_pointwise(G, positions)
@@ -676,12 +675,11 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     A = dcl(M, A0)
     C = dcl(M, C0)
     try:
-        restr = relative_restriction(M, C, A)
+        G = relative_restriction(M, C, A)
     except NotInvariantError:
         raise HypothesisError(
             "top set is not a normal extension of the base: some orbit leaves it") from None
-    G = restr.image
-    points = restr.points
+    points = tuple(sorted(C))
     if G.order > perm.DEFAULT_SUBGROUP_CAP:
         raise CapError(
             f"relative group order {G.order} exceeds cap {perm.DEFAULT_SUBGROUP_CAP}")
@@ -806,7 +804,9 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
     tower; degree = |Aut| exactly for the normal extensions among the three
     pairs; when mid and top are normal over the base, that restriction onto
     the mid is onto with kernel the top-over-mid group and multiplicative
-    orders; the biconditional "fixing subgroup normal iff mid normal"; that a
+    orders, the kernel being the subgroup fixing the mid (`fix_of_set`), which
+    the restriction takes as it is and does not close again; the
+    biconditional "fixing subgroup normal iff mid normal"; that a
     splitting mid extension is normal; and that a top normal over the base
     stays normal over the mid.
     """
@@ -842,21 +842,23 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
             f"deg = {deg}, |Aut| = {order}, normal = {normal}"))
 
     subgroup_normal = None
+    if n_ca:
+        # Aut(top/base) and its subgroup fixing the mid: the kernel of the
+        # restriction onto the mid, and the subgroup of the normality law.
+        G = relative_restriction(M, C, A)
+        H = fix_of_set(M, C, A, B)
     if n_ba and n_ca:
-        restr_ca = relative_restriction(M, C, A)
-        G_ca = restr_ca.image
-        positions = tuple(restr_ca.points.index(e) for e in sorted(B))
-        inner = restrict_to_invariant_set(G_ca, positions)
-        image_direct = relative_aut(M, B, A)
-        kernel_direct = relative_aut(M, C, B)
+        points = sorted(C)
+        image = restrict_to_invariant_set(G, [points.index(e) for e in B], H)
+        image_direct = relative_restriction(M, B, A)
+        kernel_direct = relative_restriction(M, C, B)
         checks.append(TowerCheck(
-            "restriction_onto_mid_group", _status(inner.image.equals(image_direct)),
-            f"restriction image order {inner.image.order}, "
+            "restriction_onto_mid_group", _status(image.equals(image_direct)),
+            f"restriction image order {image.order}, "
             f"|Aut(mid/base)| = {image_direct.order}"))
         checks.append(TowerCheck(
-            "restriction_kernel_is_top_over_mid",
-            _status(inner.kernel.equals(kernel_direct)),
-            f"kernel order {inner.kernel.order}, |Aut(top/mid)| = {kernel_direct.order}"))
+            "restriction_kernel_is_top_over_mid", _status(H.equals(kernel_direct)),
+            f"kernel order {H.order}, |Aut(top/mid)| = {kernel_direct.order}"))
         checks.append(TowerCheck(
             "order_product", _status(o_ca == o_cb * o_ba),
             f"|Aut(top/base)| = {o_ca}, product = {o_cb}*{o_ba}"))
@@ -867,8 +869,6 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
         checks.append(TowerCheck("order_product", "skip", detail))
 
     if n_ca:
-        G = relative_aut(M, C, A)
-        H = fix_of_set(M, C, A, B)
         subgroup_normal = is_normal_subgroup(H, G)
         checks.append(TowerCheck(
             "subgroup_normal_iff_mid_normal", _status(subgroup_normal == n_ba),

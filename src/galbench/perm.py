@@ -24,6 +24,10 @@ first-occurrence order because the chain depends on the order of the base
 prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
 the stabilizer memo grows with the distinct tuples G is asked about.
 
+`restrict_to_invariant_set` closes the image of a group on an invariant
+set; the kernel of that restriction comes from its caller, which knows it
+already, and is read only to check that the orders multiply.
+
 Three module constants bound the work at desk scale.  `DEFAULT_ELEMENT_CAP`
 bounds the order of a group whose elements are enumerated and the tuples of
 an orbit that is listed, `DEFAULT_SUBGROUP_CAP` the order of a group whose
@@ -34,7 +38,6 @@ the work stops with `CapError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -803,24 +806,14 @@ def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:
 # -- restriction to an invariant set ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Outcome of restricting a group to a setwise-invariant subset.
+def restrict_to_invariant_set(G: PermGroup, C: Iterable[int],
+                              kernel: PermGroup) -> PermGroup:
+    """The image of G restricted to an invariant subset C.
 
-    `image` acts on 0..len(points)-1 where position i stands for element
-    `points[i]` (the subset in ascending order); `kernel` is the pointwise
-    stabilizer of the subset inside the original group.
-    """
-
-    image: PermGroup
-    kernel: PermGroup
-    points: tuple[int, ...]
-
-
-def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:
-    """Split G along an invariant subset into restriction image and kernel.
-
-    Errors if some generator moves C off itself; checks |G| = |image|*|kernel|.
+    The image acts on 0..|C|-1, position i standing for the i-th smallest
+    element of C.  `kernel` is the caller's pointwise stabilizer of C in G;
+    it is read for its order only.  Errors if some generator moves C off
+    itself; checks |G| = |image|*|kernel|.
     """
     points = tuple(sorted(set(C)))
     for e in points:
@@ -832,8 +825,7 @@ def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> Restriction:
     restricted = [Perm(index[g[e]] for e in points) for g in G.generators]
     # No known order for the image: the check below is what tests the split.
     image = close_group(restricted, degree=len(points))
-    kernel = stabilizer_pointwise(G, points)
     if image.order * kernel.order != G.order:
         raise InternalCheckError(
             f"restriction split failed: {G.order} != {image.order} * {kernel.order}")
-    return Restriction(image=image, kernel=kernel, points=points)
+    return image

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 
-from .aut import automorphism_group_fixing, relative_aut
+from .aut import automorphism_group_fixing, relative_restriction
 from .errors import CapError
 from .galois import (DEFAULT_MAX_LEN, _require_closed_in, acl, codes_finite_sets,
                      dcl, degree_of_extension, extension_aut_order, find_generator,
@@ -197,7 +197,7 @@ def run_law_suite(M: Structure, trials: int = 200, seed: int = 0,
         C_n = dcl(M, A_cl | orb_entries | G.point_orbits()[y])
         z = rng.choice(sorted(C_n))
         B_mid = dcl(M, A_cl | {z})
-        G_rel = relative_aut(M, C_n, A_cl)
+        G_rel = relative_restriction(M, C_n, A_cl)
         H = fix_of_set(M, C_n, A_cl, B_mid)
         if is_normal_subgroup(H, G_rel) != is_normal_extension(M, A_cl, B_mid):
             note(subgroup_law, f"{tag}: z={z}: biconditional fails")

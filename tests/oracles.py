@@ -578,9 +578,8 @@ def slow_galois_correspondence(M, A, C, max_len=3) -> GaloisReport:
             "top set is not a normal extension of the base: some orbit leaves it")
 
     G_A = automorphism_group_fixing(M, A)
-    restr = relative_restriction(M, C, A)
-    G = restr.image
-    points = restr.points
+    G = relative_restriction(M, C, A)
+    points = tuple(sorted(C))
     if G.order > perm.DEFAULT_SUBGROUP_CAP:
         raise CapError(
             f"relative group order {G.order} exceeds cap {perm.DEFAULT_SUBGROUP_CAP}")

@@ -8,7 +8,7 @@ import random
 import time
 from itertools import combinations
 
-from galbench.aut import automorphism_group, relative_aut
+from galbench.aut import automorphism_group, relative_restriction
 from galbench.corpus import corpus_names, load_corpus
 from galbench.formula import evaluate, format_formula
 from galbench.galois import (FieldOps, find_code, multisymmetric_code,
@@ -34,7 +34,7 @@ def _criterion(name, budget_s, fn):
 def test_ex_rs_relative_group_has_four_elements():
     def check():
         M = load_corpus("EX_RS")
-        G = relative_aut(M, M.ids(["a", "b", "c", "d"]), frozenset())
+        G = relative_restriction(M, M.ids(["a", "b", "c", "d"]), frozenset())
         assert G.order == 4
         assert len(G.elements()) == 4
     _criterion("EX_RS reproduction: |Aut(C/empty)| = 4", 1.0, check)

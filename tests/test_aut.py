@@ -9,8 +9,7 @@ import galbench.aut as aut
 import galbench.perm as perm
 from galbench.corpus import CORPUS
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
-                          relative_aut, relative_restriction,
-                          search_automorphism_generators)
+                          relative_restriction, search_automorphism_generators)
 from galbench.errors import InternalCheckError, NotInvariantError, StructureError
 from galbench.perm import (Perm, PermGroup, close_group, stabilizer_by_base_change,
                            stabilizer_pointwise)
@@ -151,32 +150,32 @@ def test_gf4_group_is_squaring(gf4):
 
 def test_relative_aut_examples(ex_rs, gf16):
     C = ex_rs.ids(["a", "b", "c", "d"])
-    assert relative_aut(ex_rs, C, frozenset()).order == 4
-    G = relative_aut(gf16, frozenset(range(16)), gf16.ids(["0", "1"]))
+    assert relative_restriction(ex_rs, C, frozenset()).order == 4
+    G = relative_restriction(gf16, frozenset(range(16)), gf16.ids(["0", "1"]))
     assert G.order == 4
     # cyclic: a single generator's powers give the whole group
     frob = frobenius_perm(gf16)
     assert len(naive_closure([frob], 16)) == 4
-    assert relative_aut(ex_rs, C, C).order == 1
+    assert relative_restriction(ex_rs, C, C).order == 1
 
 
 def test_relative_aut_elements_extend(ex_rs):
     C = sorted(ex_rs.ids(["a", "b", "c", "d"]))
-    r = relative_restriction(ex_rs, frozenset(C), frozenset())
+    image = relative_restriction(ex_rs, frozenset(C), frozenset())
     global_images = {g.apply_tuple(tuple(C))
                      for g in automorphism_group(ex_rs).elements()}
-    for h in r.image.elements():
+    for h in image.elements():
         assert tuple(C[h(i)] for i in range(len(C))) in global_images
 
 
 def test_relative_aut_rejects_non_invariant_set(ex_rs):
     with pytest.raises(NotInvariantError):
-        relative_aut(ex_rs, ex_rs.ids(["a", "b"]), frozenset())
+        relative_restriction(ex_rs, ex_rs.ids(["a", "b"]), frozenset())
 
 
 def test_relative_aut_requires_nesting(ex_rs):
     with pytest.raises(StructureError):
-        relative_aut(ex_rs, ex_rs.ids(["a"]), ex_rs.ids(["a", "b"]))
+        relative_restriction(ex_rs, ex_rs.ids(["a"]), ex_rs.ids(["a", "b"]))
 
 
 def test_no_relations_gives_full_symmetric_group():

@@ -543,6 +543,47 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: chain order mismatch\n"
 
 
+def test_galois_restriction_with_a_wrong_kernel_exits_3(monkeypatch, capsys):
+    """The kernel of Aut(M/A) -> Aut(C/A) is read from the cache as Aut(M/C);
+    one of the wrong order fails the split check.  Over GF(4) inside GF(16)
+    the top is everything, so the true kernel is trivial and Aut(M), of
+    order 4, is wrong."""
+    import galbench.aut as aut
+    monkeypatch.setattr(corpus, "_loaded", {})
+    real = aut.automorphism_group_fixing
+
+    def wrong(M, A):
+        A = frozenset(A)
+        return aut.automorphism_group(M) if A == frozenset(range(M.size)) else real(M, A)
+
+    monkeypatch.setattr(aut, "automorphism_group_fixing", wrong)
+    code, text = run(["galois", "corpus:GF16", "--base", "0,1", "--top", "ALL"])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err.startswith("internal error: restriction split failed")
+
+
+def test_tower_restriction_with_a_wrong_kernel_exits_3(monkeypatch, capsys):
+    """The tower's restriction onto the mid takes the subgroup fixing the mid
+    as its kernel; handing it the whole Aut(top/base) fails the split check."""
+    import galbench.galois as galois
+    monkeypatch.setattr(corpus, "_loaded", {})
+    monkeypatch.setattr(galois, "fix_of_set",
+                        lambda M, C, A, B: galois.relative_restriction(M, C, A))
+    code, text = run(["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL"])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err.startswith("internal error: restriction split failed")
+
+
+@pytest.mark.parametrize("env,message", [
+    ("=a", "bad assignment entry '=a'; '' is not a variable name"),
+    ("y=a,y=b", "bad assignment entry 'y=b'; variable y is assigned twice"),
+], ids=["empty-variable", "repeated-variable"])
+def test_eval_env_rejects_ambiguous_assignments(env, message, capsys):
+    code, text = run(["eval", "corpus:EX_RS", "R(a,y)", "--env", env])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_checks_the_subgroup_cap_before_the_law_suite(tmp_path, monkeypatch,
                                                              capsys):
     """Four disjoint directed 4-cycles: Aut has order 4^4 * 4! = 6144, past

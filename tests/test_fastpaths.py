@@ -8,7 +8,7 @@ import pytest
 import galbench.suite as suite
 from galbench import perm
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
-                          relative_aut, relative_restriction)
+                          relative_restriction)
 from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
 from galbench.galois import (codes_finite_sets, dcl, find_code, find_generator,
                              is_normal_extension, is_splitting_extension,
@@ -51,7 +51,7 @@ NAMED_GROUPS = {
 def corpus_relative_groups(M):
     rng = random.Random(M.name)
     bases = [frozenset()] + [frozenset(rng.sample(range(M.size), 1)) for _ in range(2)]
-    return [relative_aut(M, frozenset(range(M.size)), A) for A in bases]
+    return [relative_restriction(M, frozenset(range(M.size)), A) for A in bases]
 
 
 def assert_lattice_matches_oracle(G):
@@ -99,12 +99,14 @@ def test_restriction_memo_returns_equal_results(corpus_structure):
         C = A.union(*rng.sample(orbits, min(2, len(orbits))))
         first = relative_restriction(M, C, A)
         again = relative_restriction(M, C, A)
-        fresh = restrict_to_invariant_set(G_A, C)
-        for r in (first, again):
-            assert r.points == fresh.points
-            assert r.image.generator_strings() == fresh.image.generator_strings()
-            assert r.image.order == fresh.image.order
-            assert r.kernel.equals(fresh.kernel)
+        assert again is first
+        kernel = stabilizer_pointwise(G_A, sorted(C))
+        fresh = restrict_to_invariant_set(G_A, C, kernel)
+        assert kernel.equals(automorphism_group_fixing(M, C))
+        for image in (first, again):
+            assert image.degree == len(C)
+            assert image.generator_strings() == fresh.generator_strings()
+            assert image.order == fresh.order
 
 
 def test_restriction_memo_rejects_non_invariant_set_every_time(ex_rs):

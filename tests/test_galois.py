@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galbench.aut import automorphism_group, automorphism_group_fixing, relative_aut
+from galbench.aut import (automorphism_group, automorphism_group_fixing,
+                          relative_restriction)
 from galbench.errors import (CapError, EvalError, FieldEncodingError,
                              HypothesisError, InconclusiveError, StructureError)
 from galbench.formula import parse_formula
@@ -283,13 +284,13 @@ def test_fix_of_trivial_subgroup_is_everything(ex_rs):
 
 def test_fix_of_full_klein_group_is_empty(ex_rs):
     C = ids(ex_rs, "a", "b", "c", "d")
-    G = relative_aut(ex_rs, C, frozenset())
+    G = relative_restriction(ex_rs, C, frozenset())
     assert fix_of_subgroup(ex_rs, C, G) == frozenset()
 
 
 def test_fix_of_squaring_subgroup_is_subfield(gf16):
     C = frozenset(range(16))
-    G = relative_aut(gf16, C, ids(gf16, *GF2_16))
+    G = relative_restriction(gf16, C, ids(gf16, *GF2_16))
     frob = frobenius_perm(gf16)
     frob2 = close_group([frob * frob], degree=16)
     assert fix_of_subgroup(gf16, C, frob2) == ids(gf16, *GF4_16)
@@ -320,8 +321,8 @@ BAD_SET_CALLS = {
     "dcl": (lambda M, x: dcl(M, {0, x}), "parameter set"),
     "automorphism_group_fixing": (lambda M, x: automorphism_group_fixing(M, [x]),
                                   "parameter set"),
-    "relative_aut-base": (lambda M, x: relative_aut(M, ALL6, {x}), "base set"),
-    "relative_aut-top": (lambda M, x: relative_aut(M, ALL6 | {x}, ()), "top set"),
+    "relative_aut-base": (lambda M, x: relative_restriction(M, ALL6, {x}), "base set"),
+    "relative_aut-top": (lambda M, x: relative_restriction(M, ALL6 | {x}, ()), "top set"),
     "fix_of_set-base": (lambda M, x: fix_of_set(M, ALL6, {x}, ALL6), "base set"),
     "fix_of_set-middle": (lambda M, x: fix_of_set(M, ALL6, (), {0, x}), "middle set"),
     "fix_of_set-top": (lambda M, x: fix_of_set(M, ALL6 | {x}, (), ()), "top set"),
@@ -340,7 +341,7 @@ def fill_caches(M):
         automorphism_group_fixing(M, A)
         orbit_over(M, (0,), A)
         find_generator(M, A, ALL6)
-        relative_aut(M, ALL6, A)
+        relative_restriction(M, ALL6, A)
         fix_of_set(M, ALL6, A, ALL6)
     assert all(A in M._caches["aut"] and (ALL6, A) in M._caches["restriction"]
                for A in bases)
@@ -581,7 +582,7 @@ def test_extension_aut_order_non_invariant_counts_partial_maps(ex_rs):
 def test_partial_map_count_matches_restriction_when_invariant(ex_rs):
     C = ids(ex_rs, "a", "b", "c", "d")
     assert extension_aut_order(ex_rs, C, frozenset()) == \
-        relative_aut(ex_rs, C, frozenset()).order == 4
+        relative_restriction(ex_rs, C, frozenset()).order == 4
 
 
 @pytest.mark.parametrize("make", [

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galbench.aut import automorphism_group_fixing, relative_aut
+from galbench.aut import automorphism_group_fixing, relative_restriction
 from galbench.corpus import corpus_names, load_corpus
 from galbench.errors import InconclusiveError
 from galbench.galois import (acl, codes_finite_sets, dcl, degree_of_extension,
@@ -121,7 +121,7 @@ def test_fixing_subgroup_normal_iff_set_normal(data, zraw):
     z = sorted(C)[zraw % len(C)]
     B = dcl(M, A | {z})
     H = fix_of_set(M, C, A, B)
-    assert is_normal_subgroup(H, relative_aut(M, C, A)) == \
+    assert is_normal_subgroup(H, relative_restriction(M, C, A)) == \
         is_normal_extension(M, A, B)
 
 
@@ -133,7 +133,7 @@ def test_antitone_connection(data):
     G = automorphism_group_fixing(M, A)
     entries = frozenset(t[0] for t in orbit(G, (x,)))
     C = dcl(M, A | entries)
-    G_rel = relative_aut(M, C, A)
+    G_rel = relative_restriction(M, C, A)
     subs = all_subgroups(G_rel)
     fixes = {i: fix_of_subgroup(M, C, H) for i, H in enumerate(subs)}
     for i, H1 in enumerate(subs):

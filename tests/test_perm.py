@@ -296,8 +296,8 @@ def test_orbit_trivial_group():
 
 def test_orbit_klein_pair(ex_rs):
     # the Klein action on the paired points, restricted
-    from galbench.aut import relative_aut
-    G = relative_aut(ex_rs, ex_rs.ids(["a", "b", "c", "d"]), frozenset())
+    from galbench.aut import relative_restriction
+    G = relative_restriction(ex_rs, ex_rs.ids(["a", "b", "c", "d"]), frozenset())
     assert orbit(G, (0, 1)) == ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
@@ -395,8 +395,8 @@ def test_setwise_stabilizer_whole_universe():
 
 
 def test_setwise_stabilizer_of_pair_in_restricted_klein(ex_rs):
-    from galbench.aut import relative_aut
-    G = relative_aut(ex_rs, ex_rs.ids(["a", "b", "c", "d"]), frozenset())
+    from galbench.aut import relative_restriction
+    G = relative_restriction(ex_rs, ex_rs.ids(["a", "b", "c", "d"]), frozenset())
     S = setwise_stabilizer(G, [(0,), (1,)])
     assert S.order == 2
     assert S.generator_strings() == ("(0 1)(2 3)",)
@@ -543,40 +543,46 @@ def test_not_a_subgroup_rejected():
 # -- restriction -----------------------------------------------------------------------
 
 
+def restrict(G, C):
+    """The restriction image of G on C, its kernel closed from G's chain."""
+    return restrict_to_invariant_set(G, C, stabilizer_pointwise(G, sorted(C)))
+
+
 def test_restrict_ex_rs(ex_rs):
     G = automorphism_group(ex_rs)
-    r = restrict_to_invariant_set(G, ex_rs.ids(["a", "b", "c", "d"]))
-    assert r.image.order == 4
-    assert r.kernel.order == 2
-    assert r.points == (0, 1, 2, 3)
+    C = ex_rs.ids(["a", "b", "c", "d"])
+    assert restrict(G, C).order == 4
+    assert stabilizer_pointwise(G, sorted(C)).order == 2
+    assert sorted(C) == [0, 1, 2, 3]
 
 
 def test_restrict_full_universe_is_isomorphic():
     G = close_group([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))])
-    r = restrict_to_invariant_set(G, range(4))
-    assert r.image.order == G.order
-    assert r.kernel.order == 1
+    assert restrict(G, range(4)).order == G.order
+    assert stabilizer_pointwise(G, [0, 1, 2, 3]).order == 1
 
 
 def test_restrict_trivial_group():
-    r = restrict_to_invariant_set(close_group([], degree=5), {1, 3})
-    assert r.image.order == 1 and r.kernel.order == 1
+    G = close_group([], degree=5)
+    assert restrict(G, {1, 3}).order == 1
+    assert stabilizer_pointwise(G, [1, 3]).order == 1
 
 
 def test_restrict_requires_invariance():
     from galbench.errors import NotInvariantError
     G = close_group([cyc(4, (0, 1, 2, 3))])
     with pytest.raises(NotInvariantError):
-        restrict_to_invariant_set(G, {0, 1})
+        restrict(G, {0, 1})
 
 
 def test_restriction_image_lifts_back(ex_rs):
     # every image element is the restriction of some group element
     G = automorphism_group(ex_rs)
-    r = restrict_to_invariant_set(G, ex_rs.ids(["a", "b", "c", "d"]))
-    originals = {g.apply_tuple(r.points) for g in G.elements()}
-    for h in r.image.elements():
-        assert tuple(r.points[h(i)] for i in range(len(r.points))) in originals
+    points = tuple(sorted(ex_rs.ids(["a", "b", "c", "d"])))
+    image = restrict(G, points)
+    originals = {g.apply_tuple(points) for g in G.elements()}
+    for h in image.elements():
+        assert tuple(points[h(i)] for i in range(len(points))) in originals
 
 
 def test_order_splits_multiplicatively(ex_rs, c5, gf16):
@@ -584,8 +590,15 @@ def test_order_splits_multiplicatively(ex_rs, c5, gf16):
                  (c5, frozenset(range(5))),
                  (gf16, gf16.ids(["0", "1", "w5", "w10"]))):
         G = automorphism_group(M)
-        r = restrict_to_invariant_set(G, C)
-        assert r.image.order * r.kernel.order == G.order
+        kernel = stabilizer_pointwise(G, sorted(C))
+        assert restrict_to_invariant_set(G, C, kernel).order * kernel.order == G.order
+
+
+def test_restriction_split_check_rejects_a_wrong_kernel(ex_rs):
+    G = automorphism_group(ex_rs)
+    with pytest.raises(InternalCheckError, match="^restriction split failed"):
+        restrict_to_invariant_set(G, ex_rs.ids(["a", "b", "c", "d"]),
+                                  close_group([], degree=G.degree))
 
 
 # -- property-based sanity on random permutations ------------------------------------------
