@@ -16,9 +16,8 @@ from .structure import (DEFAULT_UNIVERSE_CAP, Signature, Structure,
 from .formula import (Formula, evaluate, format_formula, free_variables,
                       parameters, parse_formula, solution_set)
 from .perm import (DEFAULT_ELEMENT_CAP, DEFAULT_SUBGROUP_CAP, ElementTable, Perm,
-                   PermGroup, close_group, is_normal_subgroup, orbit,
-                   restrict_to_invariant_set, stabilizer_by_base_change,
-                   stabilizer_pointwise)
+                   PermGroup, is_normal_subgroup, orbit,
+                   restrict_to_invariant_set, stabilizer_pointwise)
 from .aut import (automorphism_group, automorphism_group_fixing,
                   relative_restriction, search_automorphism_generators)
 from .galois import (DEFAULT_MAX_LEN, CodesReport, DualityFailure, FieldOps,

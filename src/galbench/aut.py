@@ -4,11 +4,10 @@ The engine searches level by level over the base points, deepest level
 first, and emits a strong generating set, so large symmetric groups come out
 as a few generators instead of an element list.  Each level keeps its base
 point's orbit as a transversal, so the search ends holding the group's
-stabilizer chain, and `automorphism_group` returns that chain as it is: no
-second Schreier-Sims pass closes the generators again.  Candidate maps are
-pruned by a stable vertex coloring (equitable refinement: each element is
-signed by the colors of its tuples, its own positions marked) and by
-incremental forward/backward table checks.
+stabilizer chain, and `automorphism_group` returns that chain as it is.
+Candidate maps are pruned by a stable vertex coloring (equitable
+refinement: each element is signed by the colors of its tuples, its own
+positions marked) and by incremental forward/backward table checks.
 
 Each candidate x -> y is settled in two parts.  Existence: a backtrack
 assigns the unmapped elements in breadth-first order from the mapped ones
@@ -24,28 +23,24 @@ assigns elements.
 
 `automorphism_group_fixing(M, A)` takes Aut(M/A) from what the structure's
 cache already holds: a cached Aut(M), or else the cached group of the
-largest subset of A, whose chain is base-changed to start with A
-(`perm.stabilizer_by_base_change`), so no closure runs; with neither, one
-search with A fixed, which builds the chain of Aut(M/A) directly.  The
-routes give the same group, not the same generators.  The two consumers that
-print generators, `aut --fixing` and `relative_restriction` (whose image
-reaches the duality's failure report), always close Aut(M) at `sorted(A)`
-(`_closed_from_aut`), so their bytes do not depend on what was asked
-before.  The test suite cross-checks the routes.
+largest subset of A, whose chain is rebased to start with A
+(`perm.stabilizer_pointwise`); with neither, one search with A fixed, which
+builds the chain of Aut(M/A) directly.  Every route gives the search's
+canonical generators, so the routes give the same group, generators and
+chain, and no response depends on what was asked before.  The test suite cross-checks the
+routes.
 
 `relative_restriction(M, C, A)` is Aut(C/A), the image of Aut(M/A) on an
-invariant C.  The kernel of that restriction is Aut(M/C), which
-`automorphism_group_fixing` already holds, so only the image is closed.
+invariant C, read off the chain of Aut(M/A) rebased to start with C.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Callable, Iterable
 
 from .errors import CapError, InternalCheckError, NotInvariantError, StructureError
-from .perm import (Perm, PermGroup, _transversal, restrict_to_invariant_set,
-                   stabilizer_by_base_change, stabilizer_pointwise)
+from .perm import (Perm, PermGroup, _chain_group, _Level, _lex_least, _transversal,
+                   restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
 
@@ -144,11 +139,8 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
     in breadth-first order over the Gaifman graph from the mapped ones, each
     image drawn from the neighbours of its parent's image and checked
     against its mapped neighbours at once.  Canonical form: the automorphism
-    g found is replaced by the lex-least element of its coset g·G_{i+1}:
-    for each deeper level in ascending base order, g is composed with the
-    transversal element that sends that base point to its least image under
-    g.  The points before that base point are fixed by the level's group,
-    so this is the same element whichever transversal is used.  The
+    g found is replaced by the lex-least element of its coset g·G_{i+1},
+    read off the deeper levels' transversals (`perm._lex_least`).  The
     reported generator is the first automorphism a backtrack over positions
     0..n-1 with ascending images would reach, so it does not depend on the
     order of assignment.
@@ -228,12 +220,7 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
     gens: list[Perm] = []
     # (base point, generators found at its level or deeper, transversal) for
     # each completed level whose orbit has more than one point, deepest first
-    chain: list[tuple[int, tuple[Perm, ...], dict[int, Perm]]] = []
-
-    def lex_least(g: list[int]) -> list[int]:
-        for _, _, t in reversed(chain):
-            g = [g[q] for q in t[min(t, key=g.__getitem__)]]
-        return g
+    chain: list[_Level] = []
 
     for i in reversed(range(len(base))):
         x = base[i]
@@ -253,15 +240,11 @@ def search_automorphism_generators(M: Structure, fixed: Iterable[int] = ()
             if walk is None:
                 walk = _walk(neighbours, n, prefix | {x})
             if extend(0):
-                gens.append(Perm(lex_least(img)))
+                gens.append(Perm(_lex_least(img, chain)))
                 known = _transversal(x, gens, ident)
         if len(known) > 1:
             chain.append((x, tuple(gens), known))
-    chain.reverse()
-    trans = tuple(t for _, _, t in chain)
-    return PermGroup(n, tuple(sorted(gens)), tuple(x for x, _, _ in chain),
-                     tuple(level for _, level, _ in chain), trans,
-                     prod(map(len, trans)))
+    return _chain_group(n, gens, chain)
 
 
 def _cache(M: Structure) -> dict:
@@ -280,10 +263,10 @@ def automorphism_group(M: Structure) -> PermGroup:
     """The group of all bijections of the universe preserving every relation
     table in both directions.
 
-    This is the search's own group and chain; nothing closes it again.  Each
-    generator is sifted through that chain once, and one that does not sift
-    to the identity raises `InternalCheckError`.  The tests compare the
-    chain with full closures of its generators.
+    This is the search's own group and chain.  Each generator is sifted
+    through that chain once, and one that does not sift to the identity
+    raises `InternalCheckError`.  The tests compare the chain with full
+    closures of its generators.
     """
     cache = _cache(M)
     got = cache.get(frozenset())
@@ -298,12 +281,9 @@ def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
 
     A new A takes the cheapest route the structure's cache allows.  With A
     empty it is Aut(M).  If Aut(M) is cached, or else the group fixing some
-    nonempty S < A, it is read off that group's chain by base change, S the
-    largest such set.  Otherwise it is one search with A fixed.  The routes
-    give the same group as `_closed_from_aut`, but not the same generator
-    list, so callers read only what the group is: its order, orbits, fixed
-    points, members and invariant sets.  A generator list that a response
-    prints comes from `_closed_from_aut`.
+    nonempty S < A, it is read off that group's chain
+    (`stabilizer_pointwise`), S the largest such set.  Otherwise it is one
+    search with A fixed.  Every route gives the same generators and chain.
     """
     A = frozenset(A)
     cache = _cache(M)
@@ -316,22 +296,11 @@ def automorphism_group_fixing(M: Structure, A: Iterable[int]) -> PermGroup:
         # grows with every set asked about.
         below = [frozenset()] if frozenset() in cache else [S for S in cache if S < A]
         if below:
-            got = stabilizer_by_base_change(cache[max(below, key=len)], A)
+            got = stabilizer_pointwise(cache[max(below, key=len)], A)
         else:
             got = _sifted(search_automorphism_generators(M, A))
         cache[A] = got
     return got
-
-
-def _closed_from_aut(M: Structure, A: frozenset[int]) -> PermGroup:
-    """Aut(M/A) closed from Aut(M)'s chain with `sorted(A)` as base prefix,
-    whatever the cache holds.
-
-    Its generator list is the one `aut --fixing` prints and the one
-    `relative_restriction` restricts, so those responses do not depend on
-    which questions came first.
-    """
-    return stabilizer_pointwise(automorphism_group(M), tuple(sorted(A)))
 
 
 def relative_restriction(M: Structure, C: Iterable[int],
@@ -340,11 +309,10 @@ def relative_restriction(M: Structure, C: Iterable[int],
 
     Acts on positions 0..|C|-1, position i standing for the i-th smallest
     element of C.  C must be setwise invariant under Aut(M/A); if it is not,
-    that is reported, never silently repaired.  The restriction's kernel is
-    Aut(M/C), taken from the cache by `automorphism_group_fixing`, so only
-    the image is closed.  Memoized per (C, A) in `M._caches`, so the sets
-    and their nesting are checked only for a new pair; a set that is not
-    invariant is rejected afresh on every call.
+    that is reported, never silently repaired, and nothing is cached for it.
+    Memoized per (C, A) in `M._caches`, so the sets and their nesting are
+    checked only for a new pair; a set that is not invariant is rejected
+    afresh on every call.
     """
     A = frozenset(A)
     C = frozenset(C)
@@ -355,9 +323,9 @@ def relative_restriction(M: Structure, C: Iterable[int],
         M.check_subset(C, "top set")
         if not A <= C:
             raise StructureError("base set must be contained in the top set")
-        G = _closed_from_aut(M, A)
+        G = automorphism_group_fixing(M, A)
         try:
-            got = restrict_to_invariant_set(G, C, automorphism_group_fixing(M, C))
+            got = restrict_to_invariant_set(G, C)
         except NotInvariantError:
             raise NotInvariantError(
                 f"set {M.render_set(C)} is not a union of orbits over the base; its "

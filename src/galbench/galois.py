@@ -43,7 +43,7 @@ from .structure import Structure
 DEFAULT_MAX_LEN = 3
 
 #: Most entry sets one generator, splitting or code search tries before it
-#: stops with `CapError`; each can cost a stabilizer closure.  At the default
+#: stops with `CapError`; each can cost a stabilizer.  At the default
 #: bound a 16-element pool has 697 sets of up to 3 entries; a 64-element one
 #: has 43,745, and a search that finds nothing stops after 4,000 of them.
 TUPLE_SEARCH_CAP = 4_000
@@ -184,9 +184,9 @@ def find_generator(M: Structure, A: Iterable[int], B: Iterable[int],
     Aut(M/B), that is when the orbit of s as a tuple has |G : Aut(M/B)|
     members.  G fixes dcl(A) and permutes the m other elements, so a k-tuple
     has at most P(m, min(k, m)) images, and no length whose bound is below
-    the index can generate.  The index costs a stabilizer closure; it is
-    computed only when |G| > P(m, 2), since otherwise the bound could skip
-    length 1 alone.
+    the index can generate.  The index costs a stabilizer; it is computed
+    only when |G| > P(m, 2), since otherwise the bound could skip length 1
+    alone.
     """
     A, B = _extension(M, A, B)
     G = automorphism_group_fixing(M, A)
@@ -664,9 +664,8 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     fixed set of the subgroup its elements generate, so the intermediate
     sets are exactly the distinct Fix(H) the lattice walk reads.  Each is
     checked once to be definably closed inside C, and a failing subgroup's
-    closure group comes from `fix_of_set` for its rendering; the relative
-    group keeps its pointwise stabilizers, so it is closed once per distinct
-    fixed set.
+    closure group comes from `fix_of_set` for its rendering, with the
+    canonical generators of that group.
     """
     A0 = M.check_subset(A, "base set")
     C0 = M.check_subset(C, "top set")
@@ -804,8 +803,7 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
     tower; degree = |Aut| exactly for the normal extensions among the three
     pairs; when mid and top are normal over the base, that restriction onto
     the mid is onto with kernel the top-over-mid group and multiplicative
-    orders, the kernel being the subgroup fixing the mid (`fix_of_set`), which
-    the restriction takes as it is and does not close again; the
+    orders, the kernel being the subgroup fixing the mid (`fix_of_set`); the
     biconditional "fixing subgroup normal iff mid normal"; that a
     splitting mid extension is normal; and that a top normal over the base
     stays normal over the mid.
@@ -849,7 +847,7 @@ def verify_tower(M: Structure, A: Iterable[int], B: Iterable[int],
         H = fix_of_set(M, C, A, B)
     if n_ba and n_ca:
         points = sorted(C)
-        image = restrict_to_invariant_set(G, [points.index(e) for e in B], H)
+        image = restrict_to_invariant_set(G, [points.index(e) for e in B])
         image_direct = relative_restriction(M, B, A)
         kernel_direct = relative_restriction(M, C, B)
         checks.append(TowerCheck(

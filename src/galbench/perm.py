@@ -1,32 +1,24 @@
 """Finite permutations and permutation groups.
 
 Groups carry a stabilizer chain (base points, per-level strong generators,
-and transversals) built by a deterministic Schreier-Sims pass, or by the
-automorphism search, giving exact orders and a sound, complete membership
-test.  After any forced prefix, each new base point is the smallest point
-moved by the first generator or Schreier residue that fixes the current
-base, and every iteration order is fixed, so identical inputs always
-produce identical chains, generator lists, and reports.
+and transversals).  The automorphism search builds every chain the package
+starts from; every other group is read off one of those by deterministic
+base change (`_rebase`): `stabilizer_pointwise` takes the levels below the
+points it fixes, and `restrict_to_invariant_set` restricts the levels of an
+invariant set's points.  No generator list is ever closed.
 
-A closure told the group's order stops sifting once the chain reaches it;
-`close_group`'s docstring gives the argument.  The automorphism search
-builds its chain without any closure, with the same transversal builder,
-`_transversal`, and `stabilizer_by_base_change` reads a pointwise
-stabilizer off a finished chain by conjugating and swapping its levels, so
-no closure runs there either.
+Every group's generators are canonical (`_canonical`): with base points
+ascending, each level adds, for each point of its orbit that the generators
+found so far do not reach, the lex-least element of that point's coset of
+the deeper levels' group.  These are the generators the automorphism search
+emits, so they depend on the group alone: every route to a group gives the
+same generators, chain and reports.
 
-A group's generators and chain never change once closed; membership tests
+A group's generators and chain never change once built; membership tests
 and queries only read them.  Derived facts are memoized in place: each group
-fills four slots on first use and keeps them: its element table,
-its fixed-point set, its point orbits (each point's orbit, read off the
-generators), and its pointwise stabilizers, keyed on the points in
-first-occurrence order because the chain depends on the order of the base
-prefix.  So `stabilizer_pointwise(G, t)` closes once per group and tuple;
-the stabilizer memo grows with the distinct tuples G is asked about.
-
-`restrict_to_invariant_set` closes the image of a group on an invariant
-set; the kernel of that restriction comes from its caller, which knows it
-already, and is read only to check that the orders multiply.
+fills three slots on first use and keeps them: its element table, its
+fixed-point set, and its point orbits (each point's orbit, read off the
+generators).
 
 Three module constants bound the work at desk scale.  `DEFAULT_ELEMENT_CAP`
 bounds the order of a group whose elements are enumerated and the tuples of
@@ -193,14 +185,12 @@ def _sift(base: Sequence[int], trans: Sequence[dict[int, Perm]], g: Perm,
 class PermGroup:
     """A permutation group represented by a completed stabilizer chain.
 
-    Construct through `close_group`, a sub-chain of one from some level on
-    (as `stabilizer_pointwise` does), a base change of one
-    (`stabilizer_by_base_change`), or the automorphism search; the
-    constructor trusts its arguments.
+    Built by the automorphism search or by `_canonical`, whose callers read
+    it off another group's chain; the constructor trusts its arguments.
     """
 
     __slots__ = ("degree", "generators", "base", "_levels", "_trans", "order",
-                 "_table", "_fixed", "_orbits", "_stabilizers")
+                 "_table", "_fixed", "_orbits")
 
     def __init__(self, degree, generators, base, levels, trans, order):
         self.degree = degree
@@ -212,7 +202,6 @@ class PermGroup:
         self._table = None
         self._fixed = None
         self._orbits: tuple[frozenset[int], ...] | None = None
-        self._stabilizers: dict[tuple[int, ...], PermGroup] | None = None
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -255,10 +244,6 @@ class PermGroup:
                     orbits[p] = orb
             self._orbits = tuple(orbits)
         return self._orbits
-
-    def level_generators(self, k: int) -> list[Perm]:
-        """Strong generators fixing the first k base points pointwise."""
-        return list(self._levels[k]) if k < len(self._levels) else []
 
     def elements(self) -> list[Perm]:
         """Every group element, sorted by image tuple.
@@ -308,125 +293,68 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
 
-def close_group(generators: Iterable[Perm], *, degree: int | None = None,
-                base_prefix: Sequence[int] = (),
-                known_order: int | None = None) -> PermGroup:
-    """Close a generator list into a `PermGroup` with a stabilizer chain.
+# -- canonical generators ----------------------------------------------------------
 
-    `base_prefix` forces the base to start with the given points (in order),
-    which makes pointwise stabilizers directly readable off the chain.  Each
-    further base point is the smallest point moved by the first generator or
-    Schreier residue that fixes the base so far; the base need not ascend.
-    Every level's transversal is rebuilt by `complete_level` after the last
-    change to its generators.
+#: One level of a chain being built: its base point, the generators found at
+#: it or deeper, and its transversal.
+_Level = tuple[int, tuple[Perm, ...], dict[int, Perm]]
 
-    `known_order`, when given, must be the exact order of the generated
-    group; in the package only `stabilizer_pointwise` passes one, its
-    group's order.  `complete_level` then stops sifting Schreier generators
-    once the product of the transversal sizes equals it ("Schreier-Sims with
-    known order"; Seress, *Permutation Group Algorithms*, 2003); it still
-    rebuilds every transversal.  Each level's generators fix the base points
-    before it, so each transversal lies inside that level's orbit in the
-    group, and the product is at most |G|.  Equality means every
-    transversal is a full orbit and the base's pointwise stabilizer is
-    trivial: every skipped Schreier generator would have sifted to the
-    identity, so the chain is the one the full pass builds.  A finished
-    chain whose order is not `known_order` raises `InternalCheckError`; an
-    overstated order is caught that way, after a full pass.
+
+def _lex_least(g: Sequence[int], chain: Sequence[_Level]) -> list[int]:
+    """The images of the lex-least element of the coset g·H, H the group of
+    `chain`, its levels listed deepest first, each level's group fixing
+    every point below its base point.
+
+    For each level in ascending base order, g is composed with the
+    transversal element that sends the base point to its least image under
+    g (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  The points
+    below that base point are fixed by the level's group, so this is the
+    same element whichever transversals are used.
     """
-    gens = []
-    for g in generators:
-        if not isinstance(g, Perm):
-            g = Perm(g)
-        if degree is None:
-            degree = g.degree
-        elif g.degree != degree:
-            raise GroupError(f"mixed degrees: {g.degree} vs {degree}")
-        if not g.is_identity() and g not in gens:
-            gens.append(g)
-    if degree is None:
-        raise GroupError("degree is required to close an empty generator list")
+    for _, _, t in reversed(chain):
+        g = [g[q] for q in t[min(t, key=g.__getitem__)]]
+    return g
 
+
+def _chain_group(degree: int, gens: list[Perm], chain: list[_Level]) -> PermGroup:
+    """The group of `gens` with the chain whose levels, those whose orbit
+    has more than one point, `chain` lists deepest first; the generators
+    sorted by image tuple."""
+    chain = chain[::-1]
+    trans = tuple(t for _, _, t in chain)
+    return PermGroup(degree, tuple(sorted(gens)), tuple(b for b, _, _ in chain),
+                     tuple(level for _, level, _ in chain), trans,
+                     prod(map(len, trans)))
+
+
+def _canonical(degree: int, base: Sequence[int],
+               trans: Sequence[dict[int, Perm]]) -> PermGroup:
+    """The group of a chain whose base ascends, each level's group fixing
+    every point below its base point, with canonical generators.
+
+    Levels run deepest first, one-point levels skipped.  At level i, for
+    each point y of the orbit, ascending, that the generators found so far
+    do not reach from the base point, the lex-least element of the coset
+    u_y·G^(i+1) is added (`_lex_least`, over the deeper levels already
+    rebuilt).  The automorphism search emits the same generators for the
+    same group, so they depend on the group alone, not on the transversals
+    given.  The chain returned is rebuilt from them as the search builds
+    its own: a level's generators are those found at it or deeper, its
+    transversal their orbit of its base point.
+    """
     ident = Perm.identity(degree)
-    base: list[int] = []
-    levels: list[list[Perm]] = []
-    trans: list[dict[int, Perm]] = []
-
-    def add_base_point(pt: int):
-        if not 0 <= pt < degree:
-            raise GroupError(f"base point {pt} out of range for degree {degree}")
-        if pt in base:
-            return
-        base.append(pt)
-        levels.append([])
-        trans.append({pt: ident})
-
-    for pt in base_prefix:
-        add_base_point(pt)
-
-    def min_moved(g: Perm) -> int:
-        for i, j in enumerate(g):
-            if i != j:
-                return i
-        raise InternalCheckError("identity has no moved point")
-
-    def distribute(g: Perm):
-        j = 0
-        while j < len(base) and g[base[j]] == base[j]:
-            j += 1
-        if j == len(base):
-            add_base_point(min_moved(g))
-        for level in range(j + 1):
-            if g not in levels[level]:
-                levels[level].append(g)
-
-    for g in gens:
-        distribute(g)
-
-    def rebuild(i: int):
-        trans[i] = _transversal(base[i], levels[i], ident)
-
-    def reached() -> bool:
-        """Does the chain already have the known order?"""
-        return known_order is not None and prod(map(len, trans)) == known_order
-
-    def complete_level(i: int):
-        rebuild(i)
-        if reached():
-            return
-        points = sorted(trans[i])
-        level_gens = list(levels[i])
-        for point in points:
-            u = trans[i][point]
-            for s in level_gens:
-                su = s * u
-                rep = trans[i][s[point]]
-                if su == rep:
-                    continue
-                schreier = rep.inverse() * su
-                residue, j = _sift(base, trans, schreier, i + 1)
-                if residue.is_identity():
-                    continue
-                if j == len(base):
-                    add_base_point(min_moved(residue))
-                for level in range(i + 1, j + 1):
-                    levels[level].append(residue)
-                for level in range(j, i, -1):
-                    complete_level(level)
-                if reached():
-                    return
-
-    i = len(base) - 1
-    while i >= 0:
-        complete_level(i)
-        i -= 1
-
-    order = prod(map(len, trans))
-    if known_order is not None and order != known_order:
-        raise InternalCheckError(
-            f"closed group has order {order}, not the known order {known_order}")
-    return PermGroup(degree, tuple(gens), tuple(base), tuple(tuple(l) for l in levels),
-                     tuple(trans), order)
+    gens: list[Perm] = []
+    chain: list[_Level] = []
+    for b, t in zip(reversed(base), reversed(trans)):
+        if len(t) == 1:
+            continue
+        reached = {b: ident}
+        for y in sorted(t):
+            if y not in reached:
+                gens.append(_trusted(_lex_least(t[y], chain)))
+                reached = _transversal(b, gens, ident)
+        chain.append((b, tuple(gens), reached))
+    return _chain_group(degree, gens, chain)
 
 
 # -- actions and stabilizers ----------------------------------------------------
@@ -470,62 +398,41 @@ def _is_invariant(G: PermGroup, points: frozenset[int]) -> bool:
     return all(g.apply_set(points) == points for g in G.generators)
 
 
-def stabilizer_pointwise(G: PermGroup, t: Sequence[int]) -> PermGroup:
-    """The subgroup of G fixing every entry of the tuple.
+def stabilizer_pointwise(G: PermGroup, points: Iterable[int]) -> PermGroup:
+    """The subgroup of G fixing every point of the set, read off G's chain.
 
-    With no entries this is G itself.  Otherwise one closure with the
-    entries as base prefix, told G's order; the stabilizer is the chain from
-    the first level after the prefix on.  The result is kept in G, keyed on
-    the entries in first-occurrence order (the chain depends on the prefix
-    order), so a repeated call returns the same group.
+    With no point that G moves this is G itself.  Otherwise a copy of G's
+    chain is rebased (`_rebase`) to the points G moves among them,
+    ascending, then the rest of the points G moves, ascending; the
+    stabilizer is the chain below the first ones, with canonical generators
+    (`_canonical`).  Nothing is kept in G.
     """
-    key = tuple(dict.fromkeys(t))
-    _check_entries(G, key)
+    points = set(points)
+    _check_entries(G, points)
+    moved = set(range(G.degree)) - G.fixed_points()
+    key = sorted(points & moved)
     if not key:
         return G
-    memo = G._stabilizers
-    if memo is None:
-        memo = G._stabilizers = {}
-    got = memo.get(key)
-    if got is None:
-        chain = close_group(G.generators, degree=G.degree, base_prefix=key,
-                            known_order=G.order)
-        k = len(key)
-        gens: list[Perm] = []
-        for g in chain.level_generators(k):
-            if g not in gens:
-                gens.append(g)
-        trans = chain._trans[k:]
-        got = memo[key] = PermGroup(G.degree, tuple(gens), chain.base[k:],
-                                    chain._levels[k:], trans, prod(map(len, trans)))
-    return got
+    base, trans = _rebase(G, key + sorted(moved - points))
+    return _canonical(G.degree, base[len(key):], trans[len(key):])
 
 
-def stabilizer_by_base_change(G: PermGroup, points: Iterable[int]) -> PermGroup:
-    """The subgroup of G fixing every point of the set, read off G's chain.
+def _rebase(G: PermGroup, points: Sequence[int]) -> tuple[list[int], list[dict[int, Perm]]]:
+    """The base and transversals of a copy of G's chain whose base starts
+    with `points`, distinct points that G moves, in their order.
 
     Deterministic base change (Seress, *Permutation Group Algorithms*,
     2003, §5.4; Holt, Eick and O'Brien, *Handbook of Computational Group
-    Theory*, 2005, §4.4.7): the points G moves go to the front of a copy of
-    G's chain, ascending, one level j per point a.  Let m be the first
+    Theory*, 2005, §4.4.7), one level j per point a.  Let m be the first
     level from j on whose orbit holds a.  Levels m.. are conjugated by the
     transversal element that maps b_m to a, so that a is b_m; with no such
     level, a is inserted as a one-point level below the deepest level that
     moves it, as m.  Then a is swapped up from level m to level j
-    (`_swap_levels`); with m = j there is nothing to swap.  The
-    stabilizer is the chain from the first level after those points on,
-    its one-point levels dropped, and no closure runs.  Its generators are
-    that level's, not `stabilizer_pointwise`'s, so callers read only the
-    group it is.  Nothing is kept in G.
+    (`_swap_levels`); with m = j there is nothing to swap.
     """
-    points = set(points)
-    _check_entries(G, points)
-    key = sorted(points - G.fixed_points())
-    if not key:
-        return G
     ident = Perm.identity(G.degree)
     base, levels, trans = list(G.base), list(G._levels), list(G._trans)
-    for j, a in enumerate(key):
+    for j, a in enumerate(points):
         m = j
         while m < len(base) and a not in trans[m] and any(g[a] != a for g in levels[m]):
             m += 1
@@ -538,13 +445,7 @@ def stabilizer_by_base_change(G: PermGroup, points: Iterable[int]) -> PermGroup:
             trans.insert(m, {a: ident})
         for i in reversed(range(j, m)):
             _swap_levels(base, levels, trans, i, ident)
-    k = len(key)
-    kept = [i for i in range(k, len(base)) if len(trans[i]) > 1]
-    gens = tuple(dict.fromkeys(levels[k])) if kept else ()
-    sub = [trans[i] for i in kept]
-    return PermGroup(G.degree, gens, tuple(base[i] for i in kept),
-                     tuple(tuple(levels[i]) for i in kept), tuple(sub),
-                     prod(map(len, sub)))
+    return base, trans
 
 
 def _conjugate_levels(base: list[int], levels: list, trans: list, j: int,
@@ -806,14 +707,17 @@ def is_normal_subgroup(H: PermGroup, G: PermGroup) -> bool:
 # -- restriction to an invariant set ----------------------------------------------
 
 
-def restrict_to_invariant_set(G: PermGroup, C: Iterable[int],
-                              kernel: PermGroup) -> PermGroup:
+def restrict_to_invariant_set(G: PermGroup, C: Iterable[int]) -> PermGroup:
     """The image of G restricted to an invariant subset C.
 
     The image acts on 0..|C|-1, position i standing for the i-th smallest
-    element of C.  `kernel` is the caller's pointwise stabilizer of C in G;
-    it is read for its order only.  Errors if some generator moves C off
-    itself; checks |G| = |image|*|kernel|.
+    element of C.  Errors if some generator moves C off itself.  A copy of
+    G's chain is rebased (`_rebase`) to the points of C that G moves,
+    ascending; those levels, restricted to the positions, are the image's
+    chain, read with canonical generators (`_canonical`), and the levels
+    below them are the kernel's, the pointwise stabilizer of C, which
+    nothing reads.  Every generator of G, restricted, must sift through the
+    image chain, or `InternalCheckError` is raised.
     """
     points = tuple(sorted(set(C)))
     for e in points:
@@ -822,10 +726,18 @@ def restrict_to_invariant_set(G: PermGroup, C: Iterable[int],
     if not _is_invariant(G, frozenset(points)):
         raise NotInvariantError(f"set {points} is not setwise invariant under the group")
     index = {e: i for i, e in enumerate(points)}
-    restricted = [Perm(index[g[e]] for e in points) for g in G.generators]
-    # No known order for the image: the check below is what tests the split.
-    image = close_group(restricted, degree=len(points))
-    if image.order * kernel.order != G.order:
-        raise InternalCheckError(
-            f"restriction split failed: {G.order} != {image.order} * {kernel.order}")
+
+    def restrict(g: Perm) -> Perm:
+        return _trusted(index[g[e]] for e in points)
+
+    key = sorted(set(points) - G.fixed_points())
+    _, trans = _rebase(G, key)
+    image = _canonical(len(points), [index[b] for b in key],
+                       [{index[y]: restrict(u) for y, u in t.items()}
+                        for t in trans[:len(key)]])
+    for g in G.generators:
+        if not image.contains(restrict(g)):
+            raise InternalCheckError(
+                f"restriction: generator {g} restricted to {points} does not sift "
+                "through the image chain")
     return image

@@ -80,8 +80,8 @@ def _antitone_law(M: Structure, C: frozenset[int], A: frozenset[int],
     (G_rel alone past `ANTITONE_LATTICE_MAX_ORDER`), so subgroup
     containment is mask containment and no group is closed per subgroup.
     Fix(H) is read off H's minimal generators and checked to be definably
-    closed, and Fix(Fix(H)) is `fix_of_set`'s Schreier-Sims closure, tested
-    on H's generators; both once per distinct fixed set.  Neither side
+    closed, and Fix(Fix(H)) is `fix_of_set`'s stabilizer chain, tested on
+    H's generators; both once per distinct fixed set.  Neither side
     reads the table's fixed-point masks, so the law does not check the
     table against itself.
     """

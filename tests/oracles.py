@@ -15,8 +15,10 @@ class, the automorphism search's
 degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
 here as references.  So is `all_subgroups`, the package's lattice masks
-closed into one group each: the reference lattice the tests walk; and
-`setwise_stabilizer`, the reference for `ElementTable.setwise`.
+closed into one group each: the reference lattice the tests walk;
+`setwise_stabilizer`, the reference for `ElementTable.setwise`; and
+`close_group`, the Schreier-Sims closure, the reference every stabilizer
+chain the package builds is compared with.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import prod
 from typing import Iterable
 
 from galbench import perm, structure, suite
@@ -37,7 +40,7 @@ from galbench.formula import (MAX_DEPTH, And, Atom, Eq, ExactCount, Exists, Fora
 from galbench.galois import (CodesReport, DualityFailure, GaloisReport,
                              dcl, find_generator, fix_of_set, fix_of_subgroup,
                              fmt_group, fmt_set)
-from galbench.perm import Perm, close_group, orbit
+from galbench.perm import Perm, PermGroup, _canonical, _transversal, orbit
 from galbench.structure import Signature, Structure, is_element_name, is_identifier
 
 # -- finite field arithmetic oracle (polynomial lists over GF(2)) -------------------
@@ -328,6 +331,152 @@ def textbook_sift(base, trans, g: Perm, start: int = 0) -> tuple[Perm, int]:
     return g, i
 
 
+# -- the Schreier-Sims closure ------------------------------------------------------
+
+
+def close_group(generators: Iterable[Perm], *, degree: int | None = None,
+                base_prefix: Iterable[int] = (),
+                known_order: int | None = None) -> PermGroup:
+    """Close a generator list into a `PermGroup` with a stabilizer chain by
+    a deterministic Schreier-Sims pass.
+
+    `base_prefix` forces the base to start with the given points (in order),
+    which makes pointwise stabilizers directly readable off the chain.  Each
+    further base point is the smallest point moved by the first generator or
+    Schreier residue that fixes the base so far; the base need not ascend.
+    Every level's transversal is rebuilt by `complete_level` after the last
+    change to its generators.  The generators are the given ones, identities
+    and repeats dropped, so they are not canonical.
+
+    `known_order`, when given, must be the exact order of the generated
+    group.  `complete_level` then stops sifting Schreier generators once the
+    product of the transversal sizes equals it ("Schreier-Sims with known
+    order"; Seress, *Permutation Group Algorithms*, 2003); it still rebuilds
+    every transversal.  Each level's generators fix the base points before
+    it, so the product is at most |G|, and equality means every skipped
+    Schreier generator would have sifted to the identity: the chain is the
+    one the full pass builds.  A finished chain whose order is not
+    `known_order` raises `InternalCheckError`.
+    """
+    gens = []
+    for g in generators:
+        if not isinstance(g, Perm):
+            g = Perm(g)
+        if degree is None:
+            degree = g.degree
+        elif g.degree != degree:
+            raise GroupError(f"mixed degrees: {g.degree} vs {degree}")
+        if not g.is_identity() and g not in gens:
+            gens.append(g)
+    if degree is None:
+        raise GroupError("degree is required to close an empty generator list")
+
+    ident = Perm.identity(degree)
+    base: list[int] = []
+    levels: list[list[Perm]] = []
+    trans: list[dict[int, Perm]] = []
+
+    def add_base_point(pt: int):
+        if not 0 <= pt < degree:
+            raise GroupError(f"base point {pt} out of range for degree {degree}")
+        if pt in base:
+            return
+        base.append(pt)
+        levels.append([])
+        trans.append({pt: ident})
+
+    for pt in base_prefix:
+        add_base_point(pt)
+
+    def min_moved(g: Perm) -> int:
+        return next(i for i, j in enumerate(g) if i != j)
+
+    def distribute(g: Perm):
+        j = 0
+        while j < len(base) and g[base[j]] == base[j]:
+            j += 1
+        if j == len(base):
+            add_base_point(min_moved(g))
+        for level in range(j + 1):
+            if g not in levels[level]:
+                levels[level].append(g)
+
+    for g in gens:
+        distribute(g)
+
+    def reached() -> bool:
+        return known_order is not None and prod(map(len, trans)) == known_order
+
+    def complete_level(i: int):
+        trans[i] = _transversal(base[i], levels[i], ident)
+        if reached():
+            return
+        for point in sorted(trans[i]):
+            u = trans[i][point]
+            for s in list(levels[i]):
+                su = s * u
+                rep = trans[i][s[point]]
+                if su == rep:
+                    continue
+                residue, j = textbook_sift(base, trans, rep.inverse() * su, i + 1)
+                if residue.is_identity():
+                    continue
+                if j == len(base):
+                    add_base_point(min_moved(residue))
+                for level in range(i + 1, j + 1):
+                    levels[level].append(residue)
+                for level in range(j, i, -1):
+                    complete_level(level)
+                if reached():
+                    return
+
+    for i in reversed(range(len(base))):
+        complete_level(i)
+
+    order = prod(map(len, trans))
+    if known_order is not None and order != known_order:
+        raise InternalCheckError(
+            f"closed group has order {order}, not the known order {known_order}")
+    return PermGroup(degree, tuple(gens), tuple(base), tuple(tuple(l) for l in levels),
+                     tuple(trans), order)
+
+
+def canonical_stabilizer(G, points) -> PermGroup:
+    """The pointwise stabilizer of `points` in G, closed afresh with the
+    points G moves among them as base prefix, ascending, then the rest of
+    the points G moves, ascending, and read with the package's canonical
+    generators from the level after the first ones."""
+    points = set(points)
+    moved = {x for x in range(G.degree) if any(g[x] != x for g in G.generators)}
+    key = sorted(points & moved)
+    closed = close_group(G.generators, degree=G.degree,
+                         base_prefix=key + sorted(moved - points))
+    return _canonical(G.degree, closed.base[len(key):], closed._trans[len(key):])
+
+
+def brute_canonical_generators(elements) -> tuple[Perm, ...]:
+    """The canonical generators of the group of `elements`, read off element
+    lists: base point b_j is the least point moved by H_j, the elements
+    fixing b_0..b_(j-1); deepest level first, each point y of the orbit of
+    b_j under H_j, ascending, that the generators so far do not reach from
+    b_j adds the least element of H_j mapping b_j to y."""
+    degree = elements[0].degree
+    levels = []
+    H = sorted(elements)
+    while True:
+        b = next((x for x in range(degree) if any(h[x] != x for h in H)), None)
+        if b is None:
+            break
+        levels.append((b, H))
+        H = [h for h in H if h[b] == b]
+    gens: list[Perm] = []
+    for b, H in reversed(levels):
+        for y in sorted({h[b] for h in H}):
+            if y not in {g[b] for g in word_closure(gens, degree)}:
+                gens.append(min(h for h in H if h[b] == y))
+    return tuple(sorted(gens))
+
+
 def naive_closure(perms, degree) -> set[Perm]:
     """Close a generator set under products by repeated multiplication."""
     elems = {Perm.identity(degree)} | set(perms)
@@ -436,8 +585,9 @@ def two_close_stabilizer(G, points):
     """Pointwise stabilizer by closing with the points as base prefix, then
     closing the level generators again."""
     points = list(dict.fromkeys(points))
+    k = len(points)
     chain = close_group(G.generators, degree=G.degree, base_prefix=points)
-    return close_group(chain.level_generators(len(points)), degree=G.degree)
+    return close_group(chain._levels[k] if k < len(chain.base) else (), degree=G.degree)
 
 
 # -- the antitone law on closed subgroups --------------------------------------------

@@ -11,13 +11,12 @@ from galbench.corpus import CORPUS
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_restriction, search_automorphism_generators)
 from galbench.errors import InternalCheckError, NotInvariantError, StructureError
-from galbench.perm import (Perm, PermGroup, close_group, stabilizer_by_base_change,
-                           stabilizer_pointwise)
-from galbench.structure import load_structure
+from galbench.perm import Perm, PermGroup, stabilizer_pointwise
+from galbench.structure import Structure, load_structure
 
-from oracles import (brute_automorphisms, frobenius_perm, naive_closure,
-                     slow_orbit_product, slow_search_automorphism_generators,
-                     slow_stable_colors)
+from oracles import (brute_automorphisms, canonical_stabilizer, close_group,
+                     frobenius_perm, naive_closure, slow_orbit_product,
+                     slow_search_automorphism_generators, slow_stable_colors)
 from test_cli import LABELLED_GRAPHS, LABELLINGS, SPLITTING_GRAPHS, labelled_graph_text
 from test_fastpaths import GENERATED
 from test_perm import chain
@@ -58,19 +57,20 @@ def test_fixing_examples(ex_rs):
     assert automorphism_group_fixing(ex_rs, frozenset(range(6))).order == 1
 
 
-def test_fixing_nothing_on_a_fresh_structure_closes_nothing(monkeypatch):
-    """Aut(M) is the search's own chain: no closure runs for it."""
-    assert not hasattr(aut, "close_group")
-    calls = counting_closures(monkeypatch)
+def test_fixing_nothing_on_a_fresh_structure_closes_nothing():
+    """Aut(M) is the search's own chain, and the package has no closure to
+    run for it."""
+    assert_the_package_has_no_closure()
     M = load_structure(CORPUS["EX_RS"].source)
     G = automorphism_group_fixing(M, frozenset())
-    assert calls == []
     assert G is automorphism_group(M) and G.order == 8
+    assert chain(G) == chain(search_automorphism_generators(M))
 
 
 def test_dcl_and_orbit_on_a_fresh_structure_search_once_and_close_nothing(monkeypatch):
     """Aut(M/A) of a structure met for the first time is one search with A
-    fixed: no search for Aut(M) and no closure after it."""
+    fixed: no search for Aut(M), and the package has no closure to run
+    after it."""
     from galbench.galois import dcl, orbit_over
 
     searches = []
@@ -80,12 +80,12 @@ def test_dcl_and_orbit_on_a_fresh_structure_search_once_and_close_nothing(monkey
         return search_automorphism_generators(M, fixed)
 
     monkeypatch.setattr(aut, "search_automorphism_generators", counted_search)
-    closures = counting_closures(monkeypatch)
+    assert_the_package_has_no_closure()
     for name in ("EX_RS", "GF16"):
         for ask in (lambda M: dcl(M, {0, 1}), lambda M: orbit_over(M, (2,), {0, 1})):
             searches.clear()
             ask(load_structure(CORPUS[name].source))
-            assert searches == [frozenset({0, 1})] and closures == []
+            assert searches == [frozenset({0, 1})]
 
 
 def test_a_generator_that_does_not_sift_raises(monkeypatch):
@@ -111,7 +111,7 @@ def test_fixing_is_pointwise_stabilizer(corpus_structure):
         A = frozenset(rng.sample(range(M.size), rng.randint(0, 3)))
         via_op = automorphism_group_fixing(M, A)
         via_chain = stabilizer_pointwise(G, tuple(sorted(A)))
-        assert via_op.equals(via_chain)
+        assert chain(via_op) == chain(via_chain)
 
 
 def test_fixing_agrees_with_direct_search(corpus_structure):
@@ -171,6 +171,16 @@ def test_relative_aut_elements_extend(ex_rs):
 def test_relative_aut_rejects_non_invariant_set(ex_rs):
     with pytest.raises(NotInvariantError):
         relative_restriction(ex_rs, ex_rs.ids(["a", "b"]), frozenset())
+
+
+def test_a_rejected_top_set_leaves_nothing_in_the_aut_cache():
+    """The restriction takes no kernel, so a top set that is not invariant
+    is rejected before any group is asked for it."""
+    M = load_structure(CORPUS["EX_RS"].source)
+    C = M.ids(["a", "b"])
+    with pytest.raises(NotInvariantError):
+        relative_restriction(M, C, frozenset())
+    assert C not in aut._cache(M) and set(aut._cache(M)) == {frozenset()}
 
 
 def test_relative_aut_requires_nesting(ex_rs):
@@ -469,25 +479,21 @@ def assert_chain_levels_lie_in(H, G):
     assert H.order == prod(map(len, H._trans))
 
 
-def counting_closures(monkeypatch):
-    """The arguments of every `close_group` call from now on."""
-    closures = []
-
-    def counted(*args, **kwargs):
-        closures.append(args)
-        return close_group(*args, **kwargs)
-
-    monkeypatch.setattr(perm, "close_group", counted)
-    return closures
+def assert_the_package_has_no_closure():
+    """No module of the package holds a Schreier-Sims closure: every chain
+    is the search's or is read off one."""
+    import galbench
+    modules = [galbench] + [getattr(galbench, m) for m in
+                            ("aut", "cli", "corpus", "galois", "perm", "suite")]
+    assert not any(hasattr(m, "close_group") for m in modules)
 
 
-def assert_routes_agree(M, monkeypatch):
+def assert_routes_agree(M):
     """Aut(M/A) searched with A fixed on a fresh structure, read off a
-    cached Aut(M) by base change, and read off the cached group of a
-    nonempty proper subset of A: the cached-group routes run no closure,
-    and every route gives the group the closure of Aut(M) at `sorted(A)`
-    gives, both ways, with the same fixed points and point orbits."""
-    closures = counting_closures(monkeypatch)
+    cached Aut(M), and read off the cached group of a nonempty proper
+    subset of A: every route gives the same generator tuple and the same
+    chain, those of the fresh closure of Aut(M) with A's points first, read
+    canonically (`oracles.canonical_stabilizer`)."""
     rng = random.Random(f"subsets {M.name}")
     for A in route_sets(M):
         M._caches.clear()
@@ -495,52 +501,57 @@ def assert_routes_agree(M, monkeypatch):
         assert chain(searched_group) == chain(search_automorphism_generators(M, A))
         M._caches.clear()
         full = automorphism_group(M)
-        closures.clear()
-        via_full = automorphism_group_fixing(M, A)
-        assert closures == []
-        closed = stabilizer_pointwise(full, tuple(sorted(A)))
-        groups = [searched_group, via_full]
+        groups = [searched_group, automorphism_group_fixing(M, A)]
         if len(A) > 1:
             M._caches.clear()
             S = frozenset(rng.sample(sorted(A), rng.randint(1, len(A) - 1)))
             automorphism_group_fixing(M, S)
-            closures.clear()
-            via_subset = automorphism_group_fixing(M, A)
-            assert closures == []
-            groups.append(via_subset)
+            groups.append(automorphism_group_fixing(M, A))
+        expected = canonical_stabilizer(full, A)
         for G in groups:
-            assert G.equals(closed) and closed.equals(G)
-            assert G.fixed_points() == closed.fixed_points()
-            assert G.point_orbits() == closed.point_orbits()
-        for G in groups[1:]:
-            assert_chain_levels_lie_in(G, closed)
+            assert G.generators == expected.generators
+            assert chain(G) == chain(expected)
+        assert_chain_levels_lie_in(expected, full)
+
+
+def relabelled(M, labelling):
+    """M with element k moved to position pi(k), pi a permutation of the
+    universe seeded by `labelling`; the labels keep their order."""
+    pi = list(range(M.size))
+    random.Random(labelling).shuffle(pi)
+    return Structure(f"{M.name}_{labelling}", M.signature, list(M.labels),
+                     {rel: {tuple(pi[e] for e in t) for t in table}
+                      for rel, table in M.tables.items()})
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_routes_agree_on_the_corpus(name, monkeypatch):
-    assert_routes_agree(load_structure(CORPUS[name].source), monkeypatch)
+def test_routes_agree_on_the_corpus(name):
+    assert_routes_agree(load_structure(CORPUS[name].source))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
-def test_routes_agree_on_generated_families(name, monkeypatch):
-    assert_routes_agree(GENERATED[name](), monkeypatch)
+def test_routes_agree_on_generated_families(name):
+    """Each family in its generated labelling and in three relabellings."""
+    M = GENERATED[name]()
+    assert_routes_agree(M)
+    for labelling in LABELLINGS:
+        assert_routes_agree(relabelled(M, labelling))
 
 
 @pytest.mark.parametrize("labelling", LABELLINGS)
 @pytest.mark.parametrize("name", sorted(LABELLED_GRAPHS))
-def test_routes_agree_on_labelled_graphs(name, labelling, monkeypatch):
+def test_routes_agree_on_labelled_graphs(name, labelling):
     assert_routes_agree(
-        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)),
-        monkeypatch)
+        load_structure(labelled_graph_text(name, LABELLED_GRAPHS[name], labelling)))
 
 
-def test_routes_agree_on_random_structures(monkeypatch):
+def test_routes_agree_on_random_structures():
     """The 300 structures of the coloring test above."""
     rng = random.Random(23)
     for trial in range(300):
         M = random_structure(rng, f"Z{trial}", 8)
         rng.sample(range(M.size), rng.randint(0, M.size))  # that test's fixed set
-        assert_routes_agree(M, monkeypatch)
+        assert_routes_agree(M)
 
 
 # -- base change on the 16-element structures --------------------------------------
@@ -583,8 +594,8 @@ SIXTEEN = {
     ("SPLIT8_8", {8}), ("SPLIT8_8", {3, 12}),
 ])
 def test_base_change_swaps_where_a_point_is_not_a_base_image(name, A, monkeypatch):
-    """A point outside its level's orbit is swapped up: the swap runs, no
-    closure runs, and the chain read off is the closure's group."""
+    """A point outside its level's orbit is swapped up: the swap runs, and
+    the chain read off is the canonical reading of the closure's."""
     M = load_structure(sixteen_point_text(name, SIXTEEN[name]))
     full = automorphism_group(M)
     swaps = []
@@ -595,14 +606,11 @@ def test_base_change_swaps_where_a_point_is_not_a_base_image(name, A, monkeypatc
 
     swap = perm._swap_levels
     monkeypatch.setattr(perm, "_swap_levels", counted)
-    closures = counting_closures(monkeypatch)
     got = automorphism_group_fixing(M, frozenset(A))
-    assert swaps and closures == []
-    closed = stabilizer_pointwise(full, tuple(sorted(A)))
-    assert got.equals(closed) and closed.equals(got)
-    assert got.fixed_points() == closed.fixed_points()
-    assert got.point_orbits() == closed.point_orbits()
-    assert_chain_levels_lie_in(got, closed)
+    assert swaps
+    closed = canonical_stabilizer(full, A)
+    assert chain(got) == chain(closed)
+    assert got.equals(close_group(closed.generators, degree=16))
 
 
 def test_a_swap_whose_orbit_stops_short_raises():
@@ -616,7 +624,7 @@ def test_a_swap_whose_orbit_stops_short_raises():
     trans = G._trans[:i] + (bogus,) + G._trans[i + 1:]
     H = PermGroup(G.degree, G.generators, G.base, G._levels, trans, G.order)
     with pytest.raises(InternalCheckError, match="base change: the orbit of 6 below 8"):
-        stabilizer_by_base_change(H, {8})
+        stabilizer_pointwise(H, {8})
 
 
 @pytest.mark.parametrize("name", sorted(SIXTEEN))

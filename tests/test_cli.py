@@ -543,35 +543,73 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: chain order mismatch\n"
 
 
-def test_galois_restriction_with_a_wrong_kernel_exits_3(monkeypatch, capsys):
-    """The kernel of Aut(M/A) -> Aut(C/A) is read from the cache as Aut(M/C);
-    one of the wrong order fails the split check.  Over GF(4) inside GF(16)
-    the top is everything, so the true kernel is trivial and Aut(M), of
-    order 4, is wrong."""
+def corrupting_image_chains(monkeypatch):
+    """From now on every restriction image chain loses its first level:
+    inside `restrict_to_invariant_set`, and only there, `perm._canonical`
+    drops it.  Corpus structures are loaded afresh, so no image is cached."""
     import galbench.aut as aut
-    monkeypatch.setattr(corpus, "_loaded", {})
-    real = aut.automorphism_group_fixing
-
-    def wrong(M, A):
-        A = frozenset(A)
-        return aut.automorphism_group(M) if A == frozenset(range(M.size)) else real(M, A)
-
-    monkeypatch.setattr(aut, "automorphism_group_fixing", wrong)
-    code, text = run(["galois", "corpus:GF16", "--base", "0,1", "--top", "ALL"])
-    assert code == 3 and text == ""
-    assert capsys.readouterr().err.startswith("internal error: restriction split failed")
-
-
-def test_tower_restriction_with_a_wrong_kernel_exits_3(monkeypatch, capsys):
-    """The tower's restriction onto the mid takes the subgroup fixing the mid
-    as its kernel; handing it the whole Aut(top/base) fails the split check."""
     import galbench.galois as galois
+    import galbench.perm as perm
     monkeypatch.setattr(corpus, "_loaded", {})
-    monkeypatch.setattr(galois, "fix_of_set",
-                        lambda M, C, A, B: galois.relative_restriction(M, C, A))
-    code, text = run(["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL"])
+    canonical, restrict = perm._canonical, perm.restrict_to_invariant_set
+
+    def corrupted(G, C):
+        with monkeypatch.context() as m:
+            m.setattr(perm, "_canonical",
+                      lambda degree, base, trans: canonical(degree, base[1:], trans[1:]))
+            return restrict(G, C)
+
+    for module in (aut, galois):
+        monkeypatch.setattr(module, "restrict_to_invariant_set", corrupted)
+
+
+def assert_sift_check_fired(code, text, capsys):
+    err = capsys.readouterr().err
     assert code == 3 and text == ""
-    assert capsys.readouterr().err.startswith("internal error: restriction split failed")
+    assert err.startswith("internal error: restriction: generator ")
+    assert err.endswith(" does not sift through the image chain\n")
+
+
+def test_galois_restriction_with_a_corrupt_image_chain_exits_3(monkeypatch, capsys):
+    """Aut(C/A) over GF(4) inside GF(16) is read off the chain of Aut(M/A);
+    an image chain that lost a level fails the sift check."""
+    corrupting_image_chains(monkeypatch)
+    code, text = run(["galois", "corpus:GF16", "--base", "0,1", "--top", "ALL"])
+    assert_sift_check_fired(code, text, capsys)
+
+
+def test_tower_restriction_with_a_corrupt_image_chain_exits_3(monkeypatch, capsys):
+    corrupting_image_chains(monkeypatch)
+    code, text = run(["tower", "corpus:GF16", "--sets", ";0,1,w5,w10;ALL"])
+    assert_sift_check_fired(code, text, capsys)
+
+
+@pytest.mark.parametrize("name, fixing, subset", [
+    ("EX_RS", "e,f", "e"), ("GF16", "0,1,w5", "0,1")])
+def test_aut_fixing_prints_the_same_generators_whatever_came_before(name, fixing, subset,
+                                                                    monkeypatch):
+    """Aut(M/A) searched with A fixed on a fresh structure, read off Aut(M)
+    after `aut`, and read off the group of a subset of A after `dcl`: the
+    same bytes on every route."""
+    argv = ["aut", f"corpus:{name}", "--fixing", fixing]
+    outputs = []
+    for before in ([], ["aut", f"corpus:{name}"], ["dcl", f"corpus:{name}", "--set", subset]):
+        monkeypatch.setattr(corpus, "_loaded", {})
+        if before:
+            assert run(before)[0] == 0
+        outputs.append(run(argv))
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+
+
+def test_a_failure_report_does_not_depend_on_the_requests_before_it(monkeypatch):
+    """The requests of the CI step: `aut --fixing` and `dcl` fill the cache
+    before the duality check, whose report is still its golden."""
+    monkeypatch.setattr(corpus, "_loaded", {})
+    assert run(["aut", "corpus:EX_RS", "--fixing", "a"])[0] == 0
+    assert run(["dcl", "corpus:EX_RS", "--set", "a,b"])[0] == 0
+    code, text = run(["galois", "corpus:EX_RS", "--base", "", "--top", "a,b,c,d"])
+    golden = Path(__file__).parent / "golden" / "galois-EX_RS.out"
+    assert code == 1 and text == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("env,message", [

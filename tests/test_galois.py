@@ -18,11 +18,10 @@ from galbench.galois import (FieldOps, _candidate_tuples, acl, codes_finite_sets
                              multisymmetric_code, multisymmetric_monomials,
                              orbit_over, verify_galois_correspondence,
                              verify_tower)
-from galbench.perm import close_group
 from galbench.structure import load_structure
 from galbench.suite import run_law_suite
 
-from oracles import frobenius_perm
+from oracles import close_group, frobenius_perm
 
 
 def ids(M, *names):

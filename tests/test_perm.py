@@ -1,18 +1,18 @@
 import random
 from itertools import combinations
-from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galbench import perm
-from galbench.aut import automorphism_group
+from galbench.aut import automorphism_group, automorphism_group_fixing
 from galbench.errors import CapError, GroupError, InternalCheckError
-from galbench.perm import (Perm, close_group, is_normal_subgroup, orbit,
-                           restrict_to_invariant_set, stabilizer_pointwise)
+from galbench.perm import (Perm, is_normal_subgroup, orbit, restrict_to_invariant_set,
+                           stabilizer_pointwise)
 
-from oracles import (all_subgroups, naive_closure, setwise_stabilizer, textbook_sift,
-                     word_closure)
+from oracles import (all_subgroups, brute_canonical_generators, canonical_stabilizer,
+                     close_group, naive_closure, setwise_stabilizer, textbook_sift,
+                     two_close_stabilizer, word_closure)
 
 
 def cyc(n, *cycles):
@@ -211,7 +211,7 @@ def test_sift_matches_the_textbook_sift_on_random_closures():
 
 
 def chain(G):
-    """Everything a closure builds, in order: base, generators, level
+    """Everything a chain holds, in order: base, generators, level
     generators, transversals (keys and representatives in insertion order)
     and the order."""
     return (G.base, G.generators, G._levels,
@@ -219,6 +219,8 @@ def chain(G):
 
 
 def test_known_order_leaves_the_chain_unchanged_on_corpus_groups(corpus_structure):
+    """The oracle closure with its known order builds the chain the full
+    pass builds."""
     G = automorphism_group(corpus_structure)
     n = G.degree
     prefixes = [(), tuple(range(min(3, n))), tuple(range(n - 1, max(-1, n - 4), -1)),
@@ -244,31 +246,55 @@ def test_known_order_leaves_the_chain_unchanged_on_random_closures():
         assert chain(hinted) == chain(plain)
 
 
-def test_subgroups_and_stabilizers_match_unhinted_closures(gf16, ex_rs):
-    """The stabilizer of no points is Aut(M) itself, whose chain is the
-    automorphism search's, so it is compared with the closure as a group."""
-    for M in (gf16, ex_rs):
-        G = automorphism_group(M)
-        for H in all_subgroups(G):
-            assert chain(H) == chain(close_group(H.generators, degree=H.degree))
-        for k in range(G.degree + 1):
-            S = stabilizer_pointwise(G, range(k))
-            plain = close_group(G.generators, degree=G.degree, base_prefix=range(k))
-            assert S.order * len(orbit(G, tuple(range(k)))) == G.order
-            if k == 0:
-                assert S is G and S.equals(plain) and plain.equals(S)
-            else:
-                assert S._trans == plain._trans[k:] and S._levels == plain._levels[k:]
-        S = setwise_stabilizer(G, [(0, 1), (1, 0)])
-        assert chain(S) == chain(close_group(S.generators, degree=S.degree))
-
-
 @pytest.mark.parametrize("known", [48, 25, 1000])
 def test_overstated_order_raises(known):
     s4 = [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))]
     with pytest.raises(InternalCheckError, match=f"not the known order {known}"):
         close_group(s4, known_order=known)
     assert close_group(s4, known_order=24).order == 24
+
+
+def test_subgroups_and_stabilizers_match_unhinted_closures(gf16, ex_rs):
+    """Every stabilizer of a prefix of the points, in Aut(M), in each of its
+    subgroups and in a setwise stabilizer, is the canonical reading of the
+    closure with those points first; the stabilizer of no points is the
+    group itself."""
+    for M in (gf16, ex_rs):
+        G = automorphism_group(M)
+        for k in range(G.degree + 1):
+            S = stabilizer_pointwise(G, range(k))
+            assert S.order * len(orbit(G, tuple(range(k)))) == G.order
+            assert chain(S) == chain(canonical_stabilizer(G, range(k)))
+            if k == 0:
+                assert S is G
+        for H in all_subgroups(G) + [setwise_stabilizer(G, [(0, 1), (1, 0)])]:
+            for k in range(1, 4):
+                S = stabilizer_pointwise(H, range(k))
+                assert chain(S) == chain(canonical_stabilizer(H, range(k)))
+                assert S.equals(two_close_stabilizer(H, range(k)))
+
+
+def assert_canonical(G):
+    """G's generators are the canonical ones, read off its element list."""
+    if G.order > 1:
+        assert G.generators == brute_canonical_generators(G.elements())
+    else:
+        assert G.generators == ()
+
+
+def test_canonical_generators_match_the_element_lists_on_random_groups():
+    """The canonical reading of a closure, base its moved points ascending,
+    against the generators read off the element list; a group whose
+    generators are canonical reads the same once more."""
+    rng = random.Random(43)
+    for _ in range(200):
+        degree = rng.randint(1, 7)
+        G = close_group([Perm(rng.sample(range(degree), degree))
+                         for _ in range(rng.randint(0, 3))], degree=degree)
+        C = canonical_stabilizer(G, ())
+        assert C.equals(G) and G.equals(C)
+        assert_canonical(C)
+        assert chain(canonical_stabilizer(C, ())) == chain(C)
 
 
 def test_fixed_points_match_the_elements(corpus_structure):
@@ -327,31 +353,31 @@ def test_stabilizer_in_aut_ex_rs(ex_rs):
 
 
 def test_repeated_stabilizer_is_the_same_group(ex_rs):
+    """Nothing is kept in G, but the points' order and repeats do not
+    matter: each call reads the same chain and generators."""
     G = automorphism_group(ex_rs)
     S = stabilizer_pointwise(G, (1, 0))
-    assert stabilizer_pointwise(G, [1, 0]) is S
-    assert stabilizer_pointwise(G, (1, 1, 0)) is S
+    for points in ([1, 0], (0, 1), (1, 1, 0), {0, 1}):
+        assert chain(stabilizer_pointwise(G, points)) == chain(S)
 
 
 def assert_kept_stabilizer_is_fresh(G, prefix):
-    """The kept chain for `prefix` is the one a fresh closure with its points
-    as base prefix builds; with no points it is G itself, which is compared
-    with the closure as a group (an automorphism group's chain is the
-    search's)."""
+    """The stabilizer of `prefix`, its points in any order and repeated, is
+    the canonical reading of a fresh closure with its points first; its
+    group is the fresh closure's, closed twice; up to order 200 its
+    generators are the canonical ones read off its element list.  When G
+    moves none of the points it is G itself."""
     points = tuple(dict.fromkeys(prefix))
-    k = len(points)
     S = stabilizer_pointwise(G, prefix)
-    assert stabilizer_pointwise(G, points) is S
-    plain = close_group(G.generators, degree=G.degree, base_prefix=points)
-    if not points:
-        assert S is G and S.equals(plain) and plain.equals(S)
+    assert chain(stabilizer_pointwise(G, points[::-1])) == chain(S)
+    slow = two_close_stabilizer(G, points)
+    assert S.equals(slow) and slow.equals(S)
+    if not set(points) - G.fixed_points():
+        assert S is G
         return
-    assert S.base == plain.base[k:]
-    assert S.generators == tuple(dict.fromkeys(plain.level_generators(k)))
-    assert S._levels == plain._levels[k:]
-    assert [tuple(t.items()) for t in S._trans] == [
-        tuple(t.items()) for t in plain._trans[k:]]
-    assert S.order == plain.order // prod(map(len, plain._trans[:k]))
+    assert chain(S) == chain(canonical_stabilizer(G, points))
+    if S.order <= 200:
+        assert_canonical(S)
 
 
 def test_kept_stabilizers_match_fresh_closures(corpus_structure):
@@ -361,12 +387,12 @@ def test_kept_stabilizers_match_fresh_closures(corpus_structure):
     for prefix in [(), head, head[::-1], tuple(range(n - 1, -1, -2)) + (n - 1,),
                    tuple(range(n))]:
         assert_kept_stabilizer_is_fresh(G, prefix)
-    assert stabilizer_pointwise(G, head).equals(stabilizer_pointwise(G, head[::-1]))
+    assert_canonical(G)
 
 
 def test_kept_stabilizers_match_fresh_closures_on_random_groups():
-    """The chain depends on the order of the points, so each order is kept
-    apart."""
+    """Closed groups, whose own generators are not canonical: every
+    stabilizer of a point G moves has canonical generators."""
     rng = random.Random(29)
     for _ in range(150):
         degree = rng.randint(2, 7)
@@ -543,28 +569,23 @@ def test_not_a_subgroup_rejected():
 # -- restriction -----------------------------------------------------------------------
 
 
-def restrict(G, C):
-    """The restriction image of G on C, its kernel closed from G's chain."""
-    return restrict_to_invariant_set(G, C, stabilizer_pointwise(G, sorted(C)))
-
-
 def test_restrict_ex_rs(ex_rs):
     G = automorphism_group(ex_rs)
     C = ex_rs.ids(["a", "b", "c", "d"])
-    assert restrict(G, C).order == 4
-    assert stabilizer_pointwise(G, sorted(C)).order == 2
+    assert restrict_to_invariant_set(G, C).order == 4
+    assert stabilizer_pointwise(G, C).order == 2
     assert sorted(C) == [0, 1, 2, 3]
 
 
 def test_restrict_full_universe_is_isomorphic():
     G = close_group([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))])
-    assert restrict(G, range(4)).order == G.order
+    assert restrict_to_invariant_set(G, range(4)).order == G.order
     assert stabilizer_pointwise(G, [0, 1, 2, 3]).order == 1
 
 
 def test_restrict_trivial_group():
     G = close_group([], degree=5)
-    assert restrict(G, {1, 3}).order == 1
+    assert restrict_to_invariant_set(G, {1, 3}).order == 1
     assert stabilizer_pointwise(G, [1, 3]).order == 1
 
 
@@ -572,14 +593,14 @@ def test_restrict_requires_invariance():
     from galbench.errors import NotInvariantError
     G = close_group([cyc(4, (0, 1, 2, 3))])
     with pytest.raises(NotInvariantError):
-        restrict(G, {0, 1})
+        restrict_to_invariant_set(G, {0, 1})
 
 
 def test_restriction_image_lifts_back(ex_rs):
     # every image element is the restriction of some group element
     G = automorphism_group(ex_rs)
     points = tuple(sorted(ex_rs.ids(["a", "b", "c", "d"])))
-    image = restrict(G, points)
+    image = restrict_to_invariant_set(G, points)
     originals = {g.apply_tuple(points) for g in G.elements()}
     for h in image.elements():
         assert tuple(points[h(i)] for i in range(len(points))) in originals
@@ -590,15 +611,60 @@ def test_order_splits_multiplicatively(ex_rs, c5, gf16):
                  (c5, frozenset(range(5))),
                  (gf16, gf16.ids(["0", "1", "w5", "w10"]))):
         G = automorphism_group(M)
-        kernel = stabilizer_pointwise(G, sorted(C))
-        assert restrict_to_invariant_set(G, C, kernel).order * kernel.order == G.order
+        kernel = stabilizer_pointwise(G, C)
+        assert restrict_to_invariant_set(G, C).order * kernel.order == G.order
 
 
-def test_restriction_split_check_rejects_a_wrong_kernel(ex_rs):
+def test_restriction_sift_check_rejects_a_corrupt_image_chain(ex_rs, monkeypatch):
+    """An image chain that lost its first level is the trivial group here,
+    so the restricted generators do not sift through it."""
     G = automorphism_group(ex_rs)
-    with pytest.raises(InternalCheckError, match="^restriction split failed"):
-        restrict_to_invariant_set(G, ex_rs.ids(["a", "b", "c", "d"]),
-                                  close_group([], degree=G.degree))
+    real = perm._canonical
+    monkeypatch.setattr(perm, "_canonical",
+                        lambda degree, base, trans: real(degree, base[1:], trans[1:]))
+    with pytest.raises(InternalCheckError, match=r"^restriction: generator .* does not "
+                       r"sift through the image chain$"):
+        restrict_to_invariant_set(G, ex_rs.ids(["a", "b", "c", "d"]))
+
+
+def invariant_sets(G, rng, count):
+    """`count` seeded unions of G's point orbits."""
+    orbits = sorted(set(G.point_orbits()), key=sorted)
+    return [frozenset().union(*rng.sample(orbits, rng.randint(0, len(orbits))))
+            for _ in range(count)]
+
+
+def assert_restriction_matches_the_oracle(G, C):
+    """The image of G on C is the closure of G's restricted generators, and
+    its chain is that closure's read canonically; up to order 200 its
+    generators are the canonical ones read off its element list."""
+    points = sorted(C)
+    image = restrict_to_invariant_set(G, C)
+    closed = close_group([Perm(points.index(g[e]) for e in points) for g in G.generators],
+                         degree=len(points))
+    assert image.equals(closed) and closed.equals(image)
+    assert chain(image) == chain(canonical_stabilizer(closed, ()))
+    if image.order <= 200:
+        assert_canonical(image)
+
+
+def test_restriction_images_match_the_oracle_on_corpus_groups(corpus_structure):
+    M = corpus_structure
+    rng = random.Random(f"images {M.name}")
+    for A in ((), (0,), rng.sample(range(M.size), min(2, M.size))):
+        G = automorphism_group_fixing(M, A)
+        for C in invariant_sets(G, rng, 4):
+            assert_restriction_matches_the_oracle(G, C)
+
+
+def test_restriction_images_match_the_oracle_on_random_groups():
+    rng = random.Random(41)
+    for _ in range(150):
+        degree = rng.randint(1, 7)
+        G = close_group([Perm(rng.sample(range(degree), degree))
+                         for _ in range(rng.randint(0, 3))], degree=degree)
+        for C in invariant_sets(G, rng, 3):
+            assert_restriction_matches_the_oracle(G, C)
 
 
 # -- property-based sanity on random permutations ------------------------------------------
