@@ -17,9 +17,9 @@ Conventions used throughout (recorded once):
   `_candidate_tuples`) makes the bounded answer exact.
 
 No operation changes a structure's relation data or a group's chain.
-Derived facts (automorphism groups, fixed-point sets, element tables,
-stabilizers) are memoized in place on the structures and groups that own
-them.
+Derived facts (automorphism groups, fixed-point sets, the relative groups'
+element tables, stabilizers) are memoized in place on the structures and
+groups that own them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb, perm as arrangements
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import formula as fm
 from . import perm
@@ -35,22 +35,22 @@ from .aut import automorphism_group, automorphism_group_fixing, relative_restric
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, NotInvariantError,
                      StructureError)
-from .perm import (PermGroup, _bits, _check_cap, _is_invariant, is_normal_subgroup,
-                   orbit, restrict_to_invariant_set, stabilizer_pointwise)
+from .perm import (PermGroup, _bits, _is_invariant, is_normal_subgroup, orbit,
+                   restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
 #: Default bound for generator and code tuple searches.
 DEFAULT_MAX_LEN = 3
 
 #: Most entry sets one generator, splitting or code search tries before it
-#: stops with `CapError`; each can cost a stabilizer.  At the default
-#: bound a 16-element pool has 697 sets of up to 3 entries; a 64-element one
-#: has 43,745, and a search that finds nothing stops after 4,000 of them.
+#: stops with `CapError`; each can cost a stabilizer, or a pass over a set's
+#: orbit.  At the default bound a 16-element pool has 697 sets of up to 3
+#: entries; a 64-element one has 43,745, and a search that finds nothing
+#: stops after 4,000 of them.
 TUPLE_SEARCH_CAP = 4_000
 
-#: Most point images one `codes_finite_sets` call computes: each orbit
-#: representative of a set costs |Aut(M)| times its size, once for its orbit
-#: and its setwise stabilizer together.
+#: Most point images one code search, report or check computes, in its set
+#: orbits (`perm._set_orbit`) and candidate orbits (`_is_code`) together.
 CODES_WORK_CAP = 1_000_000
 
 #: Most coefficients one `multisymmetric_code` expansion builds: m tuples of
@@ -326,11 +326,29 @@ def fix_of_set(M: Structure, C: Iterable[int], A: Iterable[int],
 # -- codes for finite sets of tuples ----------------------------------------------
 
 
-def _mask(points: Iterable[int]) -> int:
-    out = 0
-    for e in points:
-        out |= 1 << e
-    return out
+def _work_meter(subject: str) -> Callable[[int], None]:
+    """Counts one search's point images; past `CODES_WORK_CAP` it raises."""
+    work = 0
+
+    def spend(images: int) -> None:
+        nonlocal work
+        work += images
+        if work > CODES_WORK_CAP:
+            raise CapError(f"{subject} passed {CODES_WORK_CAP} point images")
+    return spend
+
+
+def _is_code(trans: dict, cand: Sequence[int], spend: Callable[[int], None]) -> bool:
+    """Is `cand`, which F's setwise stabilizer S fixes, a code for F?  S <=
+    Aut(M/cand), equal when cand's orbit, its images u_Φ(cand) under F's
+    transversal from `perm._set_orbit`, is as large as F's."""
+    images = set()
+    for count, u in enumerate(trans.values(), 1):
+        images.add(tuple(map(u.__getitem__, cand)))
+        if len(images) < count:
+            break
+    spend(count * len(cand))
+    return len(images) == len(trans)
 
 
 def find_code(M: Structure, F: Iterable[Sequence[int]],
@@ -344,30 +362,18 @@ def find_code(M: Structure, F: Iterable[Sequence[int]],
     the setwise stabilizer fixes nothing, the empty tuple is the only
     candidate at any length and None is a certificate, not just a bound.
 
-    Runs on Aut(M)'s cached element table: the setwise stabilizer is a mask
-    over the table, the candidates are the AND of its members' fixed-point
-    masks, and a candidate's pointwise stabilizer has as many elements as
-    there are fixed-point masks containing the candidate's entries.  Since
-    the setwise stabilizer fixes every candidate, equal counts mean equal
-    stabilizers.
+    F's orbit under Aut(M)'s generators gives the stabilizer's index and
+    fixed points, and a candidate is a code when its orbit is as large
+    (`_is_code`); past `CODES_WORK_CAP` point images it raises `CapError`.
     """
     tuples = {M.check_tuple(t, "set member") for t in F}
     lengths = {len(t) for t in tuples}
     if len(lengths) > 1:
         raise StructureError(f"mixed tuple lengths in finite set: {sorted(lengths)}")
-    table = automorphism_group(M).element_table()
-    return _code_for_setwise(table, table.setwise(tuples), max_len)
-
-
-def _code_for_setwise(table: perm.ElementTable, setwise: int,
-                      max_len: int) -> tuple[int, ...] | None:
-    """`find_code`'s search, given the setwise stabilizer as a table mask."""
-    target = setwise.bit_count()
-    candidates = list(_bits(table.fixed(setwise)))
-    for cand in _candidate_tuples(candidates, 0, max_len):
-        if table.pointwise_order(_mask(cand)) == target:
-            return cand
-    return None
+    spend = _work_meter("code search")
+    trans, fixed = perm._set_orbit(automorphism_group(M), tuples, spend)
+    return next((cand for cand in _candidate_tuples(fixed, 0, max_len)
+                 if _is_code(trans, cand, spend)), None)
 
 
 @dataclass(frozen=True)
@@ -396,36 +402,28 @@ def codes_finite_sets(M: Structure, max_set_size: int = 2,
     Iterates one representative per automorphism orbit of sets (an image of a
     coded set is coded by the image tuple, so orbits stand or fall together)
     and reports each representative lacking a code within the length bound.
-    Each representative is mapped once under every element of Aut(M), which
-    gives its orbit and its setwise stabilizer together; it is counted as
-    |Aut(M)| times its size point images before it is mapped, and past
-    `CODES_WORK_CAP` the check raises `CapError`.
+    Each representative's orbit marks its members seen and serves its code
+    search, as in `find_code`, all within one `CODES_WORK_CAP`.
     """
     if max_set_size < 1 or max_len < 0:
         raise StructureError("caps must be positive")
-    table = automorphism_group(M).element_table()
-    elems = table.elements
-    reps: list[tuple[tuple[int, ...], int]] = []  # (representative, setwise mask)
+    G = automorphism_group(M)
+    spend = _work_meter("codes report")
+    reps = []
+    failures = []
     seen: set[tuple[int, ...]] = set()
-    work = 0
     for size in range(1, min(max_set_size, M.size) + 1):
         for combo in combinations(range(M.size), size):
             if combo in seen:
                 continue
-            work += len(elems) * size
-            if work > CODES_WORK_CAP:
-                raise CapError(f"codes report passed {CODES_WORK_CAP} point images")
             # combinations come in lexicographic order, so the first one of
             # its orbit met is the orbit's least member, its representative
-            setwise = 0
-            for k, g in enumerate(elems):
-                image = tuple(sorted(g[e] for e in combo))
-                seen.add(image)
-                if image == combo:
-                    setwise |= 1 << k
-            reps.append((combo, setwise))
-    failures = [M.render_set(rep) for rep, setwise in reps
-                if _code_for_setwise(table, setwise, max_len) is None]
+            reps.append(combo)
+            trans, fixed = perm._set_orbit(G, [(e,) for e in combo], spend)
+            seen.update(tuple(e for (e,) in member) for member in trans)
+            if not any(_is_code(trans, cand, spend)
+                       for cand in _candidate_tuples(fixed, 0, max_len)):
+                failures.append(M.render_set(combo))
     return CodesReport(structure=M.name, max_set_size=max_set_size, max_len=max_len,
                        sets_checked=len(reps), failures=tuple(failures))
 
@@ -541,21 +539,26 @@ def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]]) -> tuple[int, 
     n = lengths.pop()
     if n < 1:
         raise StructureError("tuples must be non-empty")
-    m = len(tuples)
-    terms = comb(m + n, n) - 1
+    terms = comb(len(tuples) + n, n) - 1
     if terms > MSYM_TERM_CAP:
         raise CapError(f"multisymmetric code has {terms} coefficients; "
                        f"cap is {MSYM_TERM_CAP}")
+    code = _multisymmetric_coefficients(ops, tuples, n)
+    spend = _work_meter("code check")
+    trans, fixed = perm._set_orbit(automorphism_group(M), set(tuples), spend)
+    if not (set(code) <= set(fixed) and _is_code(trans, code, spend)):
+        raise InternalCheckError(
+            "coefficient tuple fails the stabilizer equality; this is a bug")
+    return code
 
+
+def _multisymmetric_coefficients(ops: FieldOps, tuples: Sequence[tuple[int, ...]],
+                                 n: int) -> tuple[int, ...]:
+    """`multisymmetric_code`'s coefficients for its sorted n-tuples."""
     poly: dict[tuple[int, ...], int] = {(0,) * (n + 1): ops.one}
     for x in tuples:
-        form: dict[tuple[int, ...], int] = {}
-        t_mono = (1,) + (0,) * n
-        form[t_mono] = ops.one
-        for j in range(n):
-            if x[j] != ops.zero:
-                mono = tuple(1 if k == j + 1 else 0 for k in range(n + 1))
-                form[mono] = x[j]
+        form = {tuple(int(k == j) for k in range(n + 1)): c  # T, then x_ij * U_j
+                for j, c in enumerate((ops.one, *x)) if c != ops.zero}
         nxt: dict[tuple[int, ...], int] = {}
         for m1, c1 in poly.items():
             for m2, c2 in form.items():
@@ -563,15 +566,8 @@ def multisymmetric_code(M: Structure, F: Iterable[Sequence[int]]) -> tuple[int, 
                 prev = nxt.get(mono, ops.zero)
                 nxt[mono] = ops.add[prev][ops.mul[c1][c2]]
         poly = {mono: c for mono, c in nxt.items() if c != ops.zero}
-
-    code = tuple(poly.get(mono, ops.zero)
-                 for mono in multisymmetric_monomials(m, n))
-
-    table = automorphism_group(M).element_table()
-    if table.setwise(set(tuples)) != table.pointwise(_mask(code)):
-        raise InternalCheckError(
-            "coefficient tuple fails the stabilizer equality; this is a bug")
-    return code
+    return tuple(poly.get(mono, ops.zero)
+                 for mono in multisymmetric_monomials(len(tuples), n))
 
 
 # -- duality verification -------------------------------------------------------------
@@ -707,10 +703,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
                 closure_order=closure.order,
             ))
 
-    # The intermediate sets: the subgroups' distinct fixed sets.  Nothing here
-    # enumerates Aut(M/A), but a check whose Aut(M/A) is past the element cap
-    # is refused all the same.
-    _check_cap(automorphism_group_fixing(M, A).order)
+    # The intermediate sets: the subgroups' distinct fixed sets.
     intermediates = sorted((elements_of(b) for b in fixed_masks),
                            key=lambda B: (len(B), sorted(B)))
     for B in intermediates:

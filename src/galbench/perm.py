@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapError, GroupError, InternalCheckError, NotInvariantError
 
@@ -391,6 +391,31 @@ def orbit(G: PermGroup, t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
+def _set_orbit(G: PermGroup, tuples: Iterable[tuple], spend: Callable) -> tuple[dict, list]:
+    """F's orbit under G, breadth first, and Fix(S) for S = F's setwise
+    stabilizer.  Each member Φ (a sorted tuple of tuples) maps to the images
+    of u_Φ = s·u_Ψ, where Ψ -s-> Φ is the edge that first reached Φ, so
+    u_Φ(F) = Φ.  The u_{s·Φ}⁻¹·s·u_Φ generate S (Schreier's lemma; Seress,
+    ch. 4), so Fix(S), ascending, is the x with s(u_Φ(x)) = u_{s·Φ}(x) on
+    every edge.  `spend` gets each set's images: per generator, its entries
+    plus the degree."""
+    members = [tuple(sorted(tuples))]
+    trans = {members[0]: tuple(range(G.degree))}
+    fixed = list(range(G.degree))
+    for phi in members:
+        spend(len(G.generators) * (sum(map(len, phi)) + G.degree))
+        u = trans[phi]
+        for s in G.generators:
+            img = tuple(sorted(tuple(map(s.__getitem__, t)) for t in phi))
+            v = trans.get(img)
+            if v is None:
+                trans[img] = tuple(map(s.__getitem__, u))
+                members.append(img)
+            elif fixed:
+                fixed = [x for x in fixed if s[u[x]] == v[x]]
+    return trans, fixed
+
+
 def _is_invariant(G: PermGroup, points: frozenset[int]) -> bool:
     """Does G map the set onto itself?  Decided on the generators: a group
     preserves a set when its generators do, and a finite set mapped into
@@ -524,8 +549,7 @@ class ElementTable:
     use.  `lookups` counts the product lookups `generated` has made.
     """
 
-    __slots__ = ("elements", "fixmasks", "lookups", "_index", "_columns",
-                 "_fix_counts", "_lattice")
+    __slots__ = ("elements", "fixmasks", "lookups", "_index", "_columns", "_lattice")
 
     def __init__(self, elements: list[Perm]):
         self.elements = elements
@@ -541,7 +565,6 @@ class ElementTable:
         self.lookups = 0
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: dict[int, list[int]] = {}
-        self._fix_counts: dict[int, int] | None = None
         self._lattice: list[tuple[int, list[int]]] | None = None
 
     def perms(self, indices: Iterable[int]) -> list[Perm]:
@@ -566,24 +589,6 @@ class ElementTable:
         out = 0
         for i, f in enumerate(self.fixmasks):
             if f & points == points:
-                out |= 1 << i
-        return out
-
-    def pointwise_order(self, points: int) -> int:
-        """The number of elements fixing every point of `points`."""
-        counts = self._fix_counts
-        if counts is None:
-            counts = self._fix_counts = {}
-            for f in self.fixmasks:
-                counts[f] = counts.get(f, 0) + 1
-        return sum(c for f, c in counts.items() if f & points == points)
-
-    def setwise(self, tuples: set[tuple[int, ...]]) -> int:
-        """The elements mapping the set of tuples onto itself (into is
-        enough: an element is injective on tuples and the set is finite)."""
-        out = 0
-        for i, g in enumerate(self.elements):
-            if all(tuple(map(g.__getitem__, t)) in tuples for t in tuples):
                 out |= 1 << i
         return out
 

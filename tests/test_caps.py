@@ -62,16 +62,18 @@ LOWERED = [
      "universe has 6 elements; cap is 5"),
     (aut, "SEARCH_WORK_CAP", 17, ["aut", FILE],
      "automorphism search passed 17 consistency checks"),
-    (perm, "DEFAULT_ELEMENT_CAP", 7, ["code", FILE, "--tuples", "a;b"],
-     "group of order 8 exceeds enumeration cap 7"),
+    (perm, "DEFAULT_ELEMENT_CAP", 3, ["galois", FILE, "--base", "", "--top", "a,b,c,d"],
+     "group of order 4 exceeds enumeration cap 3"),
     (perm, "DEFAULT_SUBGROUP_CAP", 3, ["galois", FILE, "--base", "", "--top", "a,b,c,d"],
      "relative group order 4 exceeds cap 3"),
     (perm, "LATTICE_WORK_CAP", 1, ["galois", FILE, "--base", "", "--top", "a,b,c,d"],
      "subgroup lattice passed 1 product lookups"),
     (galois, "TUPLE_SEARCH_CAP", 1, ["generator", FILE, "--base", "", "--top", "ALL"],
      "tuple search passed 1 candidates at length 1 (max_len 3)"),
-    (galois, "CODES_WORK_CAP", 95, ["codes-report", FILE],
-     "codes report passed 95 point images"),
+    # one below the report's 534 point images: its 7 orbits of sets cost
+    # 486 and the code candidates over them 48
+    (galois, "CODES_WORK_CAP", 533, ["codes-report", FILE],
+     "codes report passed 533 point images"),
     (formula, "EVAL_STEP_CAP", 5, ["eval", FILE, "A x1. A x2. x1 = x1"],
      "formula evaluation passed 5 assignments"),
     (formula, "MAX_DEPTH", 2, ["eval", FILE, "~~~R(a, b)"],
@@ -118,6 +120,16 @@ def test_a_lowered_element_cap_bounds_an_orbit(tmp_path, monkeypatch, capsys):
     test_a_lowered_cap_takes_effect_through_run_command(
         perm, "DEFAULT_ELEMENT_CAP", 7, ["orbit", FILE, "--tuple", "a,e"],
         "orbit passed 7 tuples (enumeration cap)", tmp_path, monkeypatch, capsys)
+
+
+def test_a_lowered_codes_work_cap_bounds_a_code_search(tmp_path, monkeypatch, capsys):
+    # {a, b} has two images under Aut(EX_RS), {a, b} and {c, d}, and each
+    # costs its 2 entries plus the 6 points per generator, 3 of them.  The
+    # setwise stabilizer fixes nothing, so the one candidate, (), costs no
+    # image: 48 in all.
+    test_a_lowered_cap_takes_effect_through_run_command(
+        galois, "CODES_WORK_CAP", 47, ["code", FILE, "--tuples", "a;b"],
+        "code search passed 47 point images", tmp_path, monkeypatch, capsys)
 
 
 def test_an_orbit_past_the_element_cap_is_refused(tmp_path, capsys):

@@ -767,9 +767,11 @@ def test_galois_on_a_non_normal_top_exits_2(tmp_path, capsys):
 
 
 def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
-    """Seven unrelated points plus a rigid directed 7-path: Aut is S7, and its
-    1023 orbits of sets cost 5040 times their size each, about 36 million
-    point images (48 s without the cap)."""
+    """Seven unrelated points plus a rigid directed 7-path: Aut is S7, on 6
+    generators.  Its 1023 orbits of sets have C(7, k) members each, for k
+    of the unrelated points in the set, and each member costs 6 times its
+    size plus the 14 points; with the code searches that is about 2.2
+    million point images (1.0 s without the cap)."""
     points = [f"u{i}" for i in range(7)] + [f"p{i}" for i in range(7)]
     arcs = ", ".join(f"(p{i},p{i + 1})" for i in range(6))
     path = tmp_path / "s7_path.txt"
@@ -780,6 +782,65 @@ def test_codes_report_past_its_work_cap_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: codes report passed 1000000 point images\n"
+
+
+SIXTEEN_POINTS = ("structure P16 { universe = { "
+                  + ", ".join(f"p{i}" for i in range(16)) + " } }\n")
+K8_8 = ("structure K8_8 {\n  universe = { "
+        + ", ".join([f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]) + " }\n"
+        + "  rel E/2 = { " + ", ".join(f"(a{i},b{j}), (b{j},a{i})"
+                                      for i in range(8) for j in range(8)) + " }\n}\n")
+
+
+@pytest.mark.parametrize("source, argv, text", [
+    (SIXTEEN_POINTS, ["code", "--tuples", "p0"], "(p0)\n"),
+    (SIXTEEN_POINTS, ["code", "--tuples", "p1;p2"], "none (no code of length <= 3)\n"),
+    (SIXTEEN_POINTS, ["codes-report"],
+     "sets checked (orbit representatives): 2\nno code: {p0, p1}\nverdict: fail\n"),
+    (K8_8, ["code", "--tuples", "a0;a1"], "none (no code of length <= 3)\n"),
+    (K8_8, ["codes-report"], "sets checked (orbit representatives): 3\n"
+     "no code: {a0, a1}\nno code: {a0, b0}\nverdict: fail\n"),
+], ids=["P16-p0", "P16-p1;p2", "P16-report", "K8_8-a0;a1", "K8_8-report"])
+def test_codes_past_the_element_cap_answer_within_a_second(source, argv, text, tmp_path,
+                                                          capsys):
+    """Aut(M) is S16 or S8 wr S2, far past the element cap, where these
+    requests once exited 2: the code searches read F's orbit under the
+    generators and enumerate no group.  The setwise stabilizers of {p1, p2},
+    {p0, p1}, {a0, a1} and {a0, b0} fix no point, so each none is exact."""
+    from galbench.aut import automorphism_group
+    from galbench.perm import DEFAULT_ELEMENT_CAP
+
+    assert automorphism_group(load_structure(source)).order > DEFAULT_ELEMENT_CAP
+    path = tmp_path / "m.txt"
+    path.write_text(source, encoding="utf-8")
+    start = time.perf_counter()
+    assert run([argv[0], str(path), *argv[1:]]) == (0, text)
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_code_search_past_its_work_cap_exits_2_within_a_second(tmp_path, capsys):
+    """Sixteen points with p0 marked: Aut is S15, and four disjoint pairs
+    have 15!/(7! 4!) = 10,810,800 images, one set each in the orbit."""
+    path = tmp_path / "p16_marked.txt"
+    path.write_text(SIXTEEN_POINTS.replace(" } }", " }\n  rel M/1 = { (p0) }\n}"),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["code", str(path), "--tuples", "p1,p2;p3,p4;p5,p6;p7,p8"]) == (2, "")
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: code search passed 1000000 point images\n"
+
+
+def test_a_multisymmetric_code_that_fails_its_check_exits_3(monkeypatch, capsys):
+    """Frobenius swaps w and w2 in GF(4), so it fixes {w, w2} setwise but
+    not the tuple (w): an expansion giving (w) fails the self-check."""
+    from galbench import galois
+
+    monkeypatch.setattr(galois, "_multisymmetric_coefficients",
+                        lambda ops, tuples, n: (corpus.load_corpus("GF4").names["w"],))
+    code, text = run(["msym-code", "corpus:GF4", "--tuples", "w;w2"])
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_codes_report_set_size_past_the_universe_costs_nothing_extra():

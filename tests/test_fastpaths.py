@@ -6,10 +6,11 @@ from itertools import combinations, product
 import pytest
 
 import galbench.suite as suite
-from galbench import perm
+from galbench import galois, perm
 from galbench.aut import (automorphism_group, automorphism_group_fixing,
                           relative_restriction)
-from galbench.errors import CapError, GalbenchError, GroupError, NotInvariantError
+from galbench.errors import (CapError, GalbenchError, GroupError, InternalCheckError,
+                             NotInvariantError)
 from galbench.galois import (codes_finite_sets, dcl, find_code, find_generator,
                              is_normal_extension, is_splitting_extension,
                              multisymmetric_code, verify_galois_correspondence)
@@ -144,12 +145,6 @@ def test_element_table_masks_match_element_filters():
             pmask = sum(1 << x for x in points)
             fixing = [i for i, g in enumerate(elems) if all(g(x) == x for x in points)]
             assert table.pointwise(pmask) == sum(1 << i for i in fixing)
-            assert table.pointwise_order(pmask) == len(fixing)
-            tuples = {tuple(rng.randrange(G.degree) for _ in range(2))
-                      for _ in range(rng.randint(0, 3))}
-            setwise = [i for i, g in enumerate(elems)
-                       if {g.apply_tuple(t) for t in tuples} == tuples]
-            assert table.setwise(tuples) == sum(1 << i for i in setwise)
 
 
 def test_element_table_is_built_once_and_checks_the_cap_every_time(monkeypatch):
@@ -355,19 +350,18 @@ def test_ex_rs_failure_report_matches_slow_path(ex_rs):
                         lambda: slow_galois_correspondence(ex_rs, frozenset(), top))
 
 
-def test_duality_still_caps_the_base_group(ex_rs, monkeypatch):
-    # the relative group has order 4, Aut(M/A) order 8: the cap applies to
-    # the latter, as the element list of Aut(M/A) did
+def test_duality_answers_past_the_base_groups_element_cap(ex_rs, monkeypatch):
+    """Only the relative group's elements are enumerated.  Over a,b,c,d the
+    relative group of EX_RS has order 4, and Aut(M/A) = Aut(M) order 8,
+    which the coding column no longer enumerates.  So the check answers
+    under an element cap of 7 as the slow path, which enumerates Aut(M),
+    answered under the default cap, and the slow path itself is refused."""
     top = ex_rs.ids(["a", "b", "c", "d"])
-    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 4)
-    for check in (verify_galois_correspondence, slow_galois_correspondence):
-        with pytest.raises(CapError, match="group of order 8 exceeds enumeration cap 4"):
-            check(ex_rs, frozenset(), top)
-    M = cycle_union(2, 4)
+    expected = slow_galois_correspondence(ex_rs, frozenset(), top)
     monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", 7)
-    assert_same_outcome(
-        lambda: verify_galois_correspondence(M, frozenset(), range(M.size)),
-        lambda: slow_galois_correspondence(M, frozenset(), range(M.size)))
+    assert verify_galois_correspondence(ex_rs, frozenset(), top) == expected
+    with pytest.raises(CapError, match="group of order 8 exceeds enumeration cap 7"):
+        slow_galois_correspondence(ex_rs, frozenset(), top)
 
 
 # -- the antitone law against its closed-subgroup version ---------------------------
@@ -438,11 +432,14 @@ def assert_codes_match_slow_path(M, monkeypatch):
     for size in (1, 2):
         assert_same_outcome(lambda: codes_finite_sets(M, max_set_size=size),
                             lambda: slow_codes_finite_sets(M, max_set_size=size))
+    # `find_code` enumerates no group, so an element cap below |Aut(M)| does
+    # not touch it
     order = automorphism_group(M).order
     if order > 1:
         F = [(0,), (1,)]
+        expected = slow_find_code(M, F)
         monkeypatch.setattr(perm, "DEFAULT_ELEMENT_CAP", order - 1)
-        assert_same_outcome(lambda: find_code(M, F), lambda: slow_find_code(M, F))
+        assert find_code(M, F) == expected
 
 
 def test_code_searches_match_slow_path_on_corpus(corpus_structure, monkeypatch):
@@ -483,9 +480,10 @@ def test_codes_report_matches_find_code_on_generated(generated_structure):
                                   lambda: galois_field(3, (1, 0, 1))],
                          ids=["GF8", "GF9"])
 def test_multisymmetric_check_matches_slow_path(make, gf16, monkeypatch):
+    """The self-check accepts exactly the tuples the slow path verifies: an
+    expansion that gives a wrong tuple raises `InternalCheckError`."""
     for M in (make(), gf16):
         rng = random.Random(M.name)
-        table = automorphism_group(M).element_table()
         for F in random_tuple_sets(M, rng, 10):
             lengths = {len(t) for t in F}
             if len(lengths) > 1:
@@ -494,13 +492,14 @@ def test_multisymmetric_check_matches_slow_path(make, gf16, monkeypatch):
             assert slow_code_is_verified(M, F, code)
             # the stabilizer comparison itself, on codes right and wrong
             for cand in (code, tuple(rng.randrange(M.size) for _ in range(2))):
-                points = sum(1 << e for e in set(cand))
-                assert (table.setwise(F) == table.pointwise(points)) == \
-                    slow_code_is_verified(M, F, cand)
-        with monkeypatch.context() as patch, \
-                pytest.raises(CapError, match="exceeds enumeration cap"):
-            patch.setattr(perm, "DEFAULT_ELEMENT_CAP", 1)
-            multisymmetric_code(M, [(1,)])
+                with monkeypatch.context() as patch:
+                    patch.setattr(galois, "_multisymmetric_coefficients",
+                                  lambda ops, tuples, n: cand)
+                    try:
+                        holds = multisymmetric_code(M, F) == cand
+                    except InternalCheckError:
+                        holds = False
+                assert holds == slow_code_is_verified(M, F, cand)
 
 
 # -- element lists, point orbits and splitting against their slow paths ------------
@@ -562,6 +561,11 @@ def test_kernel_matches_slow_path_on_large_groups(name):
     assert automorphism_group(M).order == {"Rook4": 1152, "Clebsch": 1920,
                                            "K4_4": 1152}[name]
     assert_kernel_matches_slow_path(M)
+
+
+@pytest.mark.parametrize("name", ["Clebsch", "Rook4"])
+def test_code_searches_match_slow_path_on_large_groups(name, monkeypatch):
+    assert_codes_match_slow_path(LARGE_GROUPS[name](0), monkeypatch)
 
 
 def splitting_instances(M):

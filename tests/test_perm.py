@@ -440,18 +440,22 @@ def test_setwise_contains_pointwise():
     assert P.is_subgroup_of(S)
 
 
-def test_table_setwise_matches_the_oracle(corpus_structure):
+def test_set_orbit_matches_the_oracle(corpus_structure):
+    """The orbit of F gives the setwise stabilizer's order as |G| / |orbit|
+    and its fixed points from the Schreier generators' tests; each member
+    is the image of F under its transversal element."""
     G = automorphism_group(corpus_structure)
-    table = G.element_table()
     rng = random.Random(31)
     for _ in range(10):
         length = rng.randint(1, 2)
         F = {tuple(rng.sample(range(G.degree), length))
              for _ in range(rng.randint(1, 3))}
         S = setwise_stabilizer(G, F)
-        mask = table.setwise(F)
-        assert mask.bit_count() == S.order
-        assert table.perms(perm._bits(mask)) == S.elements()
+        trans, fixed = perm._set_orbit(G, F, lambda images: None)
+        assert len(trans) * S.order == G.order
+        assert fixed == sorted(S.fixed_points())
+        assert all(tuple(sorted(tuple(u[e] for e in t) for t in F)) == member
+                   for member, u in trans.items())
 
 
 def test_setwise_mixed_lengths_rejected():
