@@ -17,9 +17,10 @@ Conventions used throughout (recorded once):
   `_candidate_tuples`) makes the bounded answer exact.
 
 No operation changes a structure's relation data or a group's chain.
-Derived facts (automorphism groups, fixed-point sets, the relative groups'
-element tables, stabilizers) are memoized in place on the structures and
-groups that own them.
+Derived facts (automorphism groups, the relative groups Aut(C/A), fixed-point
+sets, element tables) are memoized in place on the structures and groups that
+own them.  Stabilizers are not: `stabilizer_pointwise` keeps nothing, so each
+`fix_of_set` call reads its stabilizer off the chain anew.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .aut import automorphism_group, automorphism_group_fixing, relative_restric
 from .errors import (CapError, EvalError, FieldEncodingError, HypothesisError,
                      InconclusiveError, InternalCheckError, NotInvariantError,
                      StructureError)
-from .perm import (PermGroup, _bits, _is_invariant, is_normal_subgroup, orbit,
+from .perm import (Perm, PermGroup, _bits, _is_invariant, is_normal_subgroup, orbit,
                    restrict_to_invariant_set, stabilizer_pointwise)
 from .structure import Structure
 
@@ -307,6 +308,27 @@ def _require_closed_in(M: Structure, C: frozenset[int], fixed: frozenset[int]) -
         raise InternalCheckError(
             "fixed set of the subgroup is not definably closed within the top set; "
             "the subgroup cannot consist of restrictions of automorphisms")
+
+
+def _fixes(M: Structure, C: frozenset[int], A: frozenset[int],
+           subgroups: Sequence[Sequence[Perm]]
+           ) -> tuple[list[frozenset[int]], dict[frozenset[int], PermGroup]]:
+    """Both directions of the duality for subgroups of Aut(C/A), each given
+    by its generators on the positions of sorted(C): Fix(H) for each
+    subgroup, read off its generators, and a map from each distinct Fix(H)
+    to Fix(Fix(H)) = `fix_of_set(M, C, A, Fix(H))`.  Each distinct fixed set
+    is checked once to be definably closed inside C.
+    """
+    points = sorted(C)
+    fixes = [frozenset(points[i] for i in range(len(points))
+                       if all(g[i] == i for g in gens))
+             for gens in subgroups]
+    closures: dict[frozenset[int], PermGroup] = {}
+    for fixed in fixes:
+        if fixed not in closures:
+            _require_closed_in(M, C, fixed)
+            closures[fixed] = fix_of_set(M, C, A, fixed)
+    return fixes, closures
 
 
 def fix_of_set(M: Structure, C: Iterable[int], A: Iterable[int],
@@ -639,29 +661,19 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
     of the base (a union of orbits over it, which `relative_restriction`
     tests), or the hypotheses fail and an error is raised.
 
-    Enumerates every subgroup H of Aut(C/A) and every definably closed
-    intermediate set (as dcl(A + S) over all S inside C, deduplicated), checks
-    Fix(Fix(H)) = H, and records each violation.  The other identity,
-    Fix(Fix(B)) = B, holds for every B that is some Fix(H), as each
-    intermediate set is (Fix∘Aut∘Fix = Fix in any Galois connection), so it
-    is not checked here; `tests/oracles.py` checks it independently.  Also
-    reports whether each subgroup's orbit of a generator of C over A admits a
-    code, the ingredient that makes the duality work.
-
-    Both sides run on bitmasks over the relative group's cached element
-    table, whose elements carry their fixed-point sets as masks over the
-    positions of C.  A subgroup is its mask from `ElementTable.subgroups`,
-    rendered by its minimal generators; no group is closed for it.  Fix(H)
-    is the AND of its members' fixed-point masks, and Fix(Fix(H)) is the mask
-    of elements whose fixed-point mask contains Fix(H).  dcl(A + S) for S
-    inside C is the intersection of the fixed sets containing S (a
-    stabilizer of S in Aut(M/A) restricts into Aut(C/A), and dcl(A + S)
-    stays inside the definably closed C).  Every such intersection is the
-    fixed set of the subgroup its elements generate, so the intermediate
-    sets are exactly the distinct Fix(H) the lattice walk reads.  Each is
-    checked once to be definably closed inside C, and a failing subgroup's
-    closure group comes from `fix_of_set` for its rendering, with the
-    canonical generators of that group.
+    Enumerates every subgroup H of Aut(C/A), from its element table's
+    lattice, and every definably closed intermediate set, and checks
+    Fix(Fix(H)) = H, recording each violation.  `_fixes` gives Fix(H) and
+    Fix(Fix(H)), once per distinct fixed set.  H <= Fix(Fix(H)) always
+    holds, so equal orders decide the identity.  The intermediate sets are
+    the distinct Fix(H): dcl(A + S) for S inside C stays inside the
+    definably closed C, so it is the fixed set of Aut(M/A + S) restricted
+    into Aut(C/A), and every Fix(H) is definably closed, which `_fixes`
+    checks.  The other identity, Fix(Fix(B)) = B, holds for every B that
+    is some Fix(H) (Fix∘Aut∘Fix = Fix in any Galois connection), so it is
+    not checked here; `tests/oracles.py` checks it independently.  Also
+    reports whether each subgroup's orbit of a generator of C over A admits
+    a code, the ingredient that makes the duality work.
     """
     A0 = M.check_subset(A, "base set")
     C0 = M.check_subset(C, "top set")
@@ -680,21 +692,16 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
             f"relative group order {G.order} exceeds cap {perm.DEFAULT_SUBGROUP_CAP}")
     table = G.element_table()
     lattice = table.subgroups()
-
-    def elements_of(positions: int) -> frozenset[int]:
-        return frozenset(points[i] for i in _bits(positions))
+    subgroups = [table.perms(gens) for _, gens in lattice]
+    fixes, closures = _fixes(M, C, A, subgroups)
 
     pairs = []
     failures = []
-    fixed_masks = set()
-    for mask, gens in lattice:
-        gen_strings = tuple(str(g) for g in table.perms(gens))
-        fixed_mask = table.fixed(mask)
-        fixed_masks.add(fixed_mask)
-        fixed = elements_of(fixed_mask)
+    for (mask, _), gens, fixed in zip(lattice, subgroups, fixes):
+        gen_strings = tuple(str(g) for g in gens)
         pairs.append((gen_strings, M.render_set(fixed)))
-        if table.pointwise(fixed_mask) != mask:
-            closure = fix_of_set(M, C, A, fixed)
+        closure = closures[fixed]
+        if closure.order != mask.bit_count():
             failures.append(DualityFailure(
                 kind="subgroup",
                 subject=fmt_group(gen_strings),
@@ -702,16 +709,7 @@ def verify_galois_correspondence(M: Structure, A: Iterable[int], C: Iterable[int
                 closure=fmt_group(closure.generator_strings()),
                 closure_order=closure.order,
             ))
-
-    # The intermediate sets: the subgroups' distinct fixed sets.
-    intermediates = sorted((elements_of(b) for b in fixed_masks),
-                           key=lambda B: (len(B), sorted(B)))
-    for B in intermediates:
-        closed = dcl(M, B)
-        if not closed <= C:
-            raise InternalCheckError("an intermediate closure escapes the top set")
-        if closed != B:
-            raise InternalCheckError("an intermediate set is not definably closed")
+    intermediates = sorted(closures, key=lambda B: (len(B), sorted(B)))
 
     # Coding of the subgroup orbits of a generator: the sets whose codes the
     # duality consumes.

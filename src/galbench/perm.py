@@ -542,26 +542,16 @@ class ElementTable:
 
     Subsets of the group are integer bitmasks over the indices; index 0 is
     the identity (the smallest image tuple), and ascending indices follow
-    the elements' sort order.  `fixmasks[i]` is the fixed-point set of
-    element i as a bitmask over the points, so pointwise stabilizers and
-    fixed sets are containment tests and ANDs of masks.  The index map, the
-    right-multiplication columns and the subgroup lattice are built on first
-    use.  `lookups` counts the product lookups `generated` has made.
+    the elements' sort order.  The table is the subgroup-lattice engine:
+    the index map, the right-multiplication columns and the lattice are
+    built on first use.  `lookups` counts the product lookups `generated`
+    has made.
     """
 
-    __slots__ = ("elements", "fixmasks", "lookups", "_index", "_columns", "_lattice")
+    __slots__ = ("elements", "lookups", "_index", "_columns", "_lattice")
 
     def __init__(self, elements: list[Perm]):
         self.elements = elements
-        shared: dict[int, int] = {}  # equal masks share one int object
-        masks = []
-        for g in elements:
-            mask = 0
-            for x, y in enumerate(g):
-                if x == y:
-                    mask |= 1 << x
-            masks.append(shared.setdefault(mask, mask))
-        self.fixmasks = masks
         self.lookups = 0
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: dict[int, list[int]] = {}
@@ -575,22 +565,6 @@ class ElementTable:
         if self._index is None:
             self._index = {g: i for i, g in enumerate(self.elements)}
         return self._index
-
-    def fixed(self, mask: int) -> int:
-        """The points fixed by every element of `mask`."""
-        fixmasks = self.fixmasks
-        out = fixmasks[0]
-        for i in _bits(mask):
-            out &= fixmasks[i]
-        return out
-
-    def pointwise(self, points: int) -> int:
-        """The elements fixing every point of the mask `points`."""
-        out = 0
-        for i, f in enumerate(self.fixmasks):
-            if f & points == points:
-                out |= 1 << i
-        return out
 
     def column(self, j: int) -> list[int]:
         """column(j)[i] is the index of elements[i] * elements[j]."""

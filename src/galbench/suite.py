@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from .aut import automorphism_group_fixing, relative_restriction
 from .errors import CapError
-from .galois import (DEFAULT_MAX_LEN, _require_closed_in, acl, codes_finite_sets,
+from .galois import (DEFAULT_MAX_LEN, _fixes, acl, codes_finite_sets,
                      dcl, degree_of_extension, extension_aut_order, find_generator,
                      fix_of_set, fix_of_subgroup, is_normal_extension, orbit_over,
                      verify_galois_correspondence, verify_tower)
@@ -79,27 +79,15 @@ def _antitone_law(M: Structure, C: frozenset[int], A: frozenset[int],
     The subgroups of G_rel = Aut(C/A) are its element table's lattice masks
     (G_rel alone past `ANTITONE_LATTICE_MAX_ORDER`), so subgroup
     containment is mask containment and no group is closed per subgroup.
-    Fix(H) is read off H's minimal generators and checked to be definably
-    closed, and Fix(Fix(H)) is `fix_of_set`'s stabilizer chain, tested on
-    H's generators; both once per distinct fixed set.  Neither side
-    reads the table's fixed-point masks, so the law does not check the
-    table against itself.
+    Fix(H) and Fix(Fix(H)) come from `_fixes`, the duality check's route,
+    and H <= Fix(Fix(H)) is tested on H's generators.
     """
-    points = sorted(C)
     if G_rel.order <= ANTITONE_LATTICE_MAX_ORDER:
         table = G_rel.element_table()
         subs = [(mask, table.perms(gens)) for mask, gens in table.subgroups()]
     else:
         subs = [(0, list(G_rel.generators))]
-    closures: dict[frozenset[int], PermGroup] = {}  # Fix(H) -> Fix(Fix(H))
-    fixes = []
-    for _, gens in subs:
-        fixed = frozenset(points[i] for i in range(G_rel.degree)
-                          if all(g[i] == i for g in gens))
-        if fixed not in closures:
-            _require_closed_in(M, C, fixed)
-            closures[fixed] = fix_of_set(M, C, A, fixed)
-        fixes.append(fixed)
+    fixes, closures = _fixes(M, C, A, [gens for _, gens in subs])
 
     out = []
     for (m1, _), f1 in zip(subs, fixes):

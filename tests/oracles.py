@@ -16,7 +16,7 @@ degree-scan coloring, its position-order backtrack and its orbit product
 rebuilt from generators) are kept
 here as references.  So is `all_subgroups`, the package's lattice masks
 closed into one group each: the reference lattice the tests walk;
-`setwise_stabilizer`, the reference for `ElementTable.setwise`; and
+`setwise_stabilizer`, the reference for `perm._set_orbit`; and
 `close_group`, the Schreier-Sims closure, the reference every stabilizer
 chain the package builds is compared with.
 """
